@@ -1,16 +1,13 @@
-// Step-to-step latency of the hydro solver on a deep AMR tree — the
-// before/after measurement for the SoA/SIMD pencil kernels plus the
-// futurized per-leaf stage pipeline (paper §4.3's stencil/SoA rewrite, which
-// the ablation study credits with 1.90–2.22x of the hydro speedup). Two
-// configurations advance the same tree:
+// Step-to-step latency of the hydro solver on a deep AMR tree: SoA pencils
+// on simd::pack lanes (paper §4.3's stencil/SoA rewrite) driven by the
+// per-leaf pipeline (ghost fills / flux sweeps / refluxes / updates as
+// dependency-gated tasks, CFL folded in). Two configurations advance the
+// same tree:
 //
-//   seed-equivalent : scalar AoS pencil loops, barriered fill-then-stage
-//                     schedule, buffer recycling disabled (every scratch
-//                     buffer goes through operator new, as the seed did);
-//   vectorized      : SoA pencils on simd::pack lanes, per-leaf futurized
-//                     pipeline (ghost fills / flux sweeps / refluxes /
-//                     updates as dependency-gated tasks, CFL folded in),
-//                     recycler enabled — steady-state steps allocate nothing.
+//   vectorized : the fixed default pack width, untiled;
+//   autotuned  : width/tile picked by the autotune sweep (kernel/autotune).
+//
+// Both reuse recycled scratch, so steady-state steps report `misses 0`.
 //
 // The tree is the level-14 analogue used for profiling: blob density refined
 // toward the domain center to level 5 (1273 nodes / 1114 leaves at INX = 8),
@@ -79,8 +76,7 @@ struct run_result {
     double steady_ms = 0; ///< mean of the remaining steps
 };
 
-run_result run(amr::tree& t, const hydro::step_options& opt, int steps,
-               bool report_recycler) {
+run_result run(amr::tree& t, const hydro::step_options& opt, int steps) {
     auto& rec = buffer_recycler::instance();
     run_result r;
     for (int i = 0; i < steps; ++i) {
@@ -89,16 +85,9 @@ run_result run(amr::tree& t, const hydro::step_options& opt, int steps,
         (void)hydro::step(t, opt);
         const double ms = sw.seconds() * 1e3;
         const auto after = rec.stats();
-        if (report_recycler) {
-            std::printf("step %d: %9.3f ms   recycler hits %llu  misses %llu\n",
-                        i, ms,
-                        static_cast<unsigned long long>(after.hits -
-                                                        before.hits),
-                        static_cast<unsigned long long>(after.misses -
-                                                        before.misses));
-        } else {
-            std::printf("step %d: %9.3f ms\n", i, ms);
-        }
+        std::printf("step %d: %9.3f ms   recycler hits %llu  misses %llu\n", i,
+                    ms, static_cast<unsigned long long>(after.hits - before.hits),
+                    static_cast<unsigned long long>(after.misses - before.misses));
         if (i == 0) r.first_ms = ms;
         else r.steady_ms += ms / (steps - 1);
     }
@@ -111,34 +100,21 @@ int main(int argc, char** argv) {
     const int max_level = std::max(0, argc > 1 ? std::atoi(argv[1]) : 5);
     const int steps = std::max(1, argc > 2 ? std::atoi(argv[2]) : 5);
 
-    std::printf("=== hydro::step latency: scalar+barriered vs SoA-SIMD+"
-                "futurized ===\n\n");
+    std::printf("=== hydro::step latency (SoA-SIMD pencils, per-leaf "
+                "pipeline) ===\n\n");
     auto& rec = buffer_recycler::instance();
-    run_result seed, vec;
+    run_result vec;
 
-    { // Seed-equivalent: scalar kernels, global barriers, no recycling.
+    { // Fixed-default configuration: SoA/SIMD kernels at the default width.
         auto t = make_scene(max_level);
         std::printf("tree: %zu nodes, %zu leaves, max_level %d, %d steps\n\n",
                     t.size(), t.leaf_count(), t.max_level(), steps);
-        rec.set_enabled(false);
         rec.clear();
-        std::printf("--- seed-equivalent (scalar AoS, barriered) ---\n");
-        hydro::step_options opt;
-        opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
-        opt.use_simd = false;
-        opt.futurized = false;
-        seed = run(t, opt, steps, false);
-        rec.set_enabled(true);
-    }
-
-    { // Fixed-default configuration: SoA/SIMD kernels, per-leaf pipeline.
-        auto t = make_scene(max_level);
-        rec.clear();
-        std::printf("\n--- vectorized (SoA pencils x%d lanes, futurized) ---\n",
+        std::printf("--- vectorized (SoA pencils x%d lanes) ---\n",
                     static_cast<int>(simd::default_width));
         hydro::step_options opt;
         opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
-        vec = run(t, opt, steps, true);
+        vec = run(t, opt, steps);
     }
 
     run_result tuned;
@@ -151,7 +127,7 @@ int main(int argc, char** argv) {
         hydro::step_options opt;
         opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
         opt.autotune = true;
-        tuned = run(t, opt, steps, true);
+        tuned = run(t, opt, steps);
     }
 
     const auto& apex = rt::apex_registry::instance();
@@ -167,17 +143,13 @@ int main(int argc, char** argv) {
 
     std::printf("\n%-42s %12s %12s\n", "configuration", "first[ms]",
                 "steady[ms]");
-    std::printf("%-42s %12.3f %12.3f\n", "scalar AoS + barriered (seed)",
-                seed.first_ms, seed.steady_ms);
-    std::printf("%-42s %12.3f %12.3f\n", "SoA/SIMD + futurized pipeline",
+    std::printf("%-42s %12.3f %12.3f\n", "vectorized (default width)",
                 vec.first_ms, vec.steady_ms);
     std::printf("%-42s %12.3f %12.3f\n", "autotuned width/tile", tuned.first_ms,
                 tuned.steady_ms);
     if (steps > 1) {
-        std::printf("\nsteady-state speedup: %.2fx (vectorized), %.2fx "
-                    "(autotuned)\n",
-                    seed.steady_ms / vec.steady_ms,
-                    seed.steady_ms / tuned.steady_ms);
+        std::printf("\nautotuned / vectorized steady step: %.2fx\n",
+                    tuned.steady_ms / vec.steady_ms);
         // The tuned geometry can never MEASURE worse than the default during
         // the sweep (the default is the first candidate); full-step wall time
         // is noisier, so allow 15% before calling it a regression.
@@ -187,7 +159,7 @@ int main(int argc, char** argv) {
             return 1;
         }
     } else {
-        std::printf("\nsteady-state speedup: n/a (need >= 2 steps)\n");
+        std::printf("\nsteady-state comparison: n/a (need >= 2 steps)\n");
     }
     return 0;
 }

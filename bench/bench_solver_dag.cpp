@@ -1,13 +1,7 @@
-// Solve-to-solve latency of the gravity solver on a deep AMR tree — the
-// before/after measurement for the futurized dependency DAG plus workspace
-// recycling. Two configurations run the same tree:
-//
-//   seed-equivalent : barriered schedule, a fresh solver per solve, buffer
-//                     recycling disabled (every aligned buffer goes through
-//                     operator new, as the seed did);
-//   futurized       : per-node dependency DAG, one solver reused across
-//                     solves (workspace persisted via the tree revision),
-//                     recycler enabled — steady-state solves allocate nothing.
+// Solve-to-solve latency of the gravity solver's per-node dependency DAG on
+// a deep AMR tree. One solver is reused across solves (workspace persisted
+// via the tree revision), so after the cold first solve every aligned buffer
+// comes from the recycler: steady-state solves must report `misses 0`.
 //
 // The tree is the level-14 analogue used for profiling: blob density refined
 // toward the domain center to level 5 (1273 nodes / 1114 leaves at INX = 8),
@@ -58,60 +52,35 @@ amr::tree make_scene(int max_level) {
     return t;
 }
 
-struct run_result {
-    double first_ms = 0;  ///< cold solve (workspace + pool build-up)
-    double steady_ms = 0; ///< mean of the remaining solves
-};
-
 } // namespace
 
 int main(int argc, char** argv) {
     const int max_level = std::max(0, argc > 1 ? std::atoi(argv[1]) : 5);
     const int solves = std::max(1, argc > 2 ? std::atoi(argv[2]) : 3);
 
-    std::printf("=== fmm::solve latency: barriered+fresh vs futurized+recycled "
+    std::printf("=== fmm::solve latency (dependency DAG, recycled workspace) "
                 "===\n\n");
     auto t = make_scene(max_level);
     std::printf("tree: %zu nodes, %zu leaves, max_level %d, %d solves\n\n",
                 t.size(), t.leaf_count(), t.max_level(), solves);
 
     auto& rec = buffer_recycler::instance();
-    run_result seed, dag;
-
-    { // Seed-equivalent: no recycling, no workspace reuse, global barriers.
-        rec.set_enabled(false);
-        rec.clear();
-        std::printf("--- seed-equivalent (barriered, fresh workspace) ---\n");
-        for (int i = 0; i < solves; ++i) {
-            solver s({.conserve = am_mode::spin_deposit, .futurized = false});
-            stopwatch sw;
-            s.solve(t);
-            const double ms = sw.seconds() * 1e3;
-            std::printf("solve %d: %9.3f ms\n", i, ms);
-            if (i == 0) seed.first_ms = ms;
-            else seed.steady_ms += ms / (solves - 1);
-        }
-        rec.set_enabled(true);
-    }
-
-    { // This PR's configuration: DAG schedule, persistent recycled workspace.
-        rec.clear();
-        std::printf("\n--- futurized (DAG, recycled workspace) ---\n");
-        solver s({.conserve = am_mode::spin_deposit, .futurized = true});
-        for (int i = 0; i < solves; ++i) {
-            const auto before = rec.stats();
-            stopwatch sw;
-            s.solve(t);
-            const double ms = sw.seconds() * 1e3;
-            const auto after = rec.stats();
-            std::printf("solve %d: %9.3f ms   recycler hits %llu  misses %llu\n",
-                        i, ms,
-                        static_cast<unsigned long long>(after.hits - before.hits),
-                        static_cast<unsigned long long>(after.misses -
-                                                        before.misses));
-            if (i == 0) dag.first_ms = ms;
-            else dag.steady_ms += ms / (solves - 1);
-        }
+    rec.clear(); // cold start: the first solve fills the pool
+    double first_ms = 0;  // cold solve (workspace + pool build-up)
+    double steady_ms = 0; // mean of the remaining solves
+    solver s({.conserve = am_mode::spin_deposit});
+    for (int i = 0; i < solves; ++i) {
+        const auto before = rec.stats();
+        stopwatch sw;
+        s.solve(t);
+        const double ms = sw.seconds() * 1e3;
+        const auto after = rec.stats();
+        std::printf("solve %d: %9.3f ms   recycler hits %llu  misses %llu\n", i,
+                    ms,
+                    static_cast<unsigned long long>(after.hits - before.hits),
+                    static_cast<unsigned long long>(after.misses - before.misses));
+        if (i == 0) first_ms = ms;
+        else steady_ms += ms / (solves - 1);
     }
 
     const auto& apex = rt::apex_registry::instance();
@@ -123,16 +92,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     apex.counter("fmm.recycler_misses")));
 
-    std::printf("\n%-42s %12s %12s\n", "configuration", "first[ms]",
-                "steady[ms]");
-    std::printf("%-42s %12.3f %12.3f\n", "barriered + fresh workspace (seed)",
-                seed.first_ms, seed.steady_ms);
-    std::printf("%-42s %12.3f %12.3f\n", "futurized + recycled workspace",
-                dag.first_ms, dag.steady_ms);
-    if (solves > 1)
-        std::printf("\nsteady-state speedup: %.2fx\n",
-                    seed.steady_ms / dag.steady_ms);
-    else
-        std::printf("\nsteady-state speedup: n/a (need >= 2 solves)\n");
+    std::printf("\nfirst solve: %.3f ms   steady-state mean: ", first_ms);
+    if (solves > 1) std::printf("%.3f ms\n", steady_ms);
+    else std::printf("n/a (need >= 2 solves)\n");
     return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "kernel/autotune.hpp"
@@ -186,9 +185,9 @@ std::uint64_t stencil_interactions(const std::vector<stencil_element>& st,
 void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pending) {
     // First writer of the node's output each solve: clear the recycled
     // accumulators (phi/g are overwritten by evaluate_node, so only L and tq
-    // need zeroing). In the futurized DAG the parent's L2L depends on all
-    // children's same-level tasks, so nothing has accumulated into this node
-    // yet when its same-level task starts.
+    // need zeroing). The parent's L2L depends on all children's same-level
+    // tasks, so nothing has accumulated into this node yet when its
+    // same-level task starts.
     auto& out = gravity_.at(k);
     sanitize::region_write(&out, "fmm.gravity");
     for (auto& l : out.L) std::fill(l.begin(), l.end(), 0.0);
@@ -394,106 +393,15 @@ void solver::solve(tree& t) {
     prepare_workspace(t);
     {
         rt::apex_timer total_timer("fmm::solve");
-        if (opt_.futurized) {
-            solve_futurized(t);
-        } else {
-            solve_barriered(t);
-        }
+        solve_dag(t);
     }
     const auto rec_after = buffer_recycler::instance().stats();
     rt::apex_count("fmm.recycler_hits", rec_after.hits - rec_before.hits);
     rt::apex_count("fmm.recycler_misses", rec_after.misses - rec_before.misses);
 }
 
-// The original five-phase solve, with a global barrier between phases. Kept
-// as the reference path: the futurized DAG below is bit-identical to it (the
-// tests assert this), and the bench compares the two.
-void solver::solve_barriered(tree& t) {
-    // Phase 1a: leaf moments, in parallel.
-    {
-        rt::apex_timer timer("fmm::moments");
-        std::vector<rt::future<void>> fs;
-        for (const auto& level : t.levels()) {
-            for (const node_key k : level) {
-                if (!t.node(k).refined) {
-                    fs.push_back(rt::async(*pool_, [this, &t, k] {
-                        compute_leaf_moments(t, k);
-                    }));
-                }
-            }
-        }
-        for (auto& f : fs) f.get();
-    }
-
-    // Phase 1b: M2M bottom-up, level barriers.
-    auto m2m_timer = std::make_unique<rt::apex_timer>("fmm::m2m");
-    for (int level = t.max_level() - 1; level >= 0; --level) {
-        std::vector<rt::future<void>> fs;
-        for (const node_key k : t.levels()[level]) {
-            if (t.node(k).refined) {
-                fs.push_back(rt::async(*pool_, [this, &t, k] { m2m(t, k); }));
-            }
-        }
-        for (auto& f : fs) f.get();
-    }
-
-    m2m_timer.reset();
-
-    // Phase 2: same-level interactions for every node at every level — the
-    // hotspot, launched as one task per node (paper: millions of small
-    // kernels rather than a few large ones).
-    {
-        rt::apex_timer timer("fmm::same_level");
-        std::mutex mu;
-        std::vector<rt::future<void>> device_futures;
-        std::vector<rt::future<void>> fs;
-        for (const auto& level : t.levels()) {
-            for (const node_key k : level) {
-                fs.push_back(rt::async(*pool_, [this, &t, k, &mu, &device_futures] {
-                    std::vector<rt::future<void>> pending;
-                    same_level(t, k, pending);
-                    if (!pending.empty()) {
-                        std::lock_guard lock(mu);
-                        for (auto& p : pending) {
-                            device_futures.push_back(std::move(p));
-                        }
-                    }
-                }));
-            }
-        }
-        for (auto& f : fs) f.get();
-        for (auto& f : device_futures) f.get();
-    }
-
-    // Phase 3: L2L top-down, level barriers.
-    auto l2l_timer = std::make_unique<rt::apex_timer>("fmm::l2l");
-    for (int level = 0; level < t.max_level(); ++level) {
-        std::vector<rt::future<void>> fs;
-        for (const node_key k : t.levels()[level]) {
-            if (t.node(k).refined) {
-                fs.push_back(rt::async(*pool_, [this, &t, k] { l2l(t, k); }));
-            }
-        }
-        for (auto& f : fs) f.get();
-    }
-
-    l2l_timer.reset();
-
-    // Phase 4: evaluate gravity per cell.
-    {
-        std::vector<rt::future<void>> fs;
-        for (const auto& level : t.levels()) {
-            for (const node_key k : level) {
-                fs.push_back(rt::async(*pool_, [this, k] { evaluate_node(k); }));
-            }
-        }
-        for (auto& f : fs) f.get();
-    }
-}
-
-// The futurized solve (paper §4.1): one dependency graph over the whole
-// tree instead of five barriered phases. Each node's tasks wait only on the
-// data they actually read:
+// The solve as one dependency graph over the whole tree (paper §4.1). Each
+// node's tasks wait only on the data they actually read:
 //
 //   moments(leaf)            : nothing (chunked with its level siblings)
 //   m2m(node)                : moments of its 8 children
@@ -503,9 +411,12 @@ void solver::solve_barriered(tree& t) {
 //                              (root: folded into its same_level completion)
 //
 // so the L2L sweep of one subtree overlaps same-level kernels of another.
-// Every kernel and every accumulation runs in the same order as in
-// solve_barriered, which makes the two paths bit-identical.
-void solver::solve_futurized(tree& t) {
+// Every output element has exactly one writer task at a time, and each
+// node's accumulation order (its partner classes, then its parent's L2L) is
+// fixed by the graph, not by which worker runs what: the result is
+// bit-identical for any pool size and steal order (test_fmm and test_core
+// assert this).
+void solver::solve_dag(tree& t) {
     rt::thread_pool& pool = *pool_;
     std::uint64_t tasks = 0;
 

@@ -32,12 +32,6 @@ namespace octo::fmm {
 struct solver_options {
     am_mode conserve = am_mode::spin_deposit;
     bool vectorized = true;           ///< SIMD-pack kernels on the CPU path
-    /// Run the solve as a per-node future DAG (paper §4.1 "futurization"):
-    /// M2M waits only on its children, same-level on the 27 moment sets it
-    /// reads, L2L on the parent's L2L plus the children's same-level. When
-    /// false, the original five globally-barriered phases run instead (kept
-    /// for A/B measurement; both paths are bit-identical).
-    bool futurized = true;
     gpu::device* device = nullptr;    ///< offload same-level kernels when set
     rt::thread_pool* pool = nullptr;  ///< defaults to the global pool
     /// External aggregation executor (may span a device_group). When null
@@ -63,9 +57,13 @@ class solver {
 
     explicit solver(options o = {});
 
-    /// Compute gravity for the whole tree. Leaf nodes must hold field data
-    /// (rho is read; everything else is untouched). Results are stored per
-    /// node and available via gravity().
+    /// Compute gravity for the whole tree as one per-node future DAG (paper
+    /// §4.1 "futurization"): M2M waits only on its children, same-level on
+    /// the 27 moment sets it reads, L2L on the parent's L2L plus the
+    /// children's same-level. Leaf nodes must hold field data (rho is read;
+    /// everything else is untouched). Results are stored per node and
+    /// available via gravity(); they are bit-identical for any pool size and
+    /// task interleaving.
     void solve(amr::tree& t);
 
     [[nodiscard]] const node_gravity& gravity(amr::node_key k) const;
@@ -105,8 +103,7 @@ class solver {
     /// changed since the previous solve (identified by tree id + revision);
     /// otherwise the existing buffers are reused as-is — zero allocations.
     void prepare_workspace(amr::tree& t);
-    void solve_futurized(amr::tree& t);
-    void solve_barriered(amr::tree& t);
+    void solve_dag(amr::tree& t);
 
     options opt_;
     rt::thread_pool* pool_;

@@ -179,7 +179,7 @@ void reflux_face(tree& t, node_key coarse, int axis, int dir,
     }
 }
 
-// ---- conserved update (shared by the barriered and futurized schedules) ---
+// ---- conserved update ------------------------------------------------------
 
 /// Pre-update density/momentum snapshot for the source terms.
 void snapshot_sources(const subgrid& g, aligned_vector<double>& old_rho,
@@ -273,8 +273,7 @@ void save_u0(const subgrid& g, aligned_vector<double>& v) {
 }
 
 /// The full per-leaf update (flux divergence, reflux moments, sources, RK
-/// blend, dual-energy bookkeeping + floors), shared verbatim by the
-/// barriered and the futurized schedules so they agree bit for bit.
+/// blend, dual-energy bookkeeping + floors).
 void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
                  const step_options& opt,
                  const std::vector<const reflux_entry*>& refl,
@@ -331,128 +330,21 @@ double cfl_timestep(tree& t, const step_options& opt) {
 
 namespace {
 
-// ---- barriered schedule ----------------------------------------------------
-
-/// One Euler stage: U <- U + dt * L(U) over all leaves. Ghosts must be
-/// filled. If `blend_with` is non-null (second RK stage), the result is
-/// 0.5 * (*blend_with) + 0.5 * (U + dt L(U)).
-void stage(tree& t, double dt, const step_options& opt,
-           const std::unordered_map<node_key, aligned_vector<double>>* blend_with,
-           rt::thread_pool& pool) {
-    // Pass 1: fluxes for every leaf, in parallel.
-    std::unordered_map<node_key, leaf_flux_soa> fluxes;
-    std::vector<node_key> leaves = t.leaves_sfc();
-    for (const node_key k : leaves) fluxes[k].reset();
-    {
-        std::vector<rt::future<void>> fs;
-        fs.reserve(leaves.size());
-        for (const node_key k : leaves) {
-            // Offloadable stage: one work item per leaf (all three axis
-            // sweeps), batched into fused launches by the executor. A
-            // rejected submission falls back to the per-leaf CPU task.
-            if (opt.aggregator != nullptr) {
-                gpu::work_item item;
-                item.kc = kernel_class::hydro;
-                item.flops = 3 * flux_sweep_flops;
-                item.kernel = [&t, &opt, &fluxes, k](const double*) {
-                    const subgrid& g = *t.node(k).fields;
-                    leaf_flux_soa& out = fluxes.at(k);
-                    for (int axis = 0; axis < 3; ++axis) {
-                        compute_axis_fluxes(g, axis, opt, out);
-                    }
-                };
-                if (auto f = opt.aggregator->submit(std::move(item))) {
-                    fs.push_back(std::move(*f));
-                    continue;
-                }
-            }
-            fs.push_back(rt::async(pool, [&t, &opt, &fluxes, k] {
-                const subgrid& g = *t.node(k).fields;
-                leaf_flux_soa& out = fluxes.at(k);
-                for (int axis = 0; axis < 3; ++axis) {
-                    compute_axis_fluxes(g, axis, opt, out);
-                }
-            }));
-        }
-        for (auto& f : fs) f.get();
-    }
-
-    // Pass 2: reflux coarse faces adjacent to refined same-level neighbors.
-    std::vector<reflux_entry> refluxes;
-    for (const node_key k : leaves) {
-        for (int axis = 0; axis < 3; ++axis) {
-            for (int dir = -1; dir <= 1; dir += 2) {
-                const node_key nb = key_neighbor(k, {axis == 0 ? dir : 0,
-                                                     axis == 1 ? dir : 0,
-                                                     axis == 2 ? dir : 0});
-                if (nb == invalid_key || !t.contains(nb)) continue;
-                if (!t.node(nb).refined) continue;
-                reflux_entry e;
-                e.leaf = k;
-                e.axis = axis;
-                e.dir = dir;
-                reflux_face(
-                    t, k, axis, dir, fluxes.at(k),
-                    [&fluxes](node_key c) -> const leaf_flux_soa& {
-                        return fluxes.at(c);
-                    },
-                    e.moments);
-                refluxes.push_back(std::move(e));
-            }
-        }
-    }
-    std::unordered_map<node_key, std::vector<const reflux_entry*>> refl_of;
-    for (const auto& e : refluxes) refl_of[e.leaf].push_back(&e);
-
-    // Pass 3: conservative update + ledger + sources, in parallel.
-    {
-        const std::vector<const reflux_entry*> no_refl;
-        std::vector<rt::future<void>> fs;
-        fs.reserve(leaves.size());
-        for (const node_key k : leaves) {
-            const auto it = refl_of.find(k);
-            const auto* refl = it != refl_of.end() ? &it->second : &no_refl;
-            fs.push_back(rt::async(pool, [&t, &opt, &fluxes, k, dt, refl,
-                                          blend_with] {
-                update_leaf(k, *t.node(k).fields, fluxes.at(k), dt, opt, *refl,
-                            blend_with != nullptr ? &blend_with->at(k)
-                                                  : nullptr);
-            }));
-        }
-        for (auto& f : fs) f.get();
-    }
-}
-
-double step_barriered(tree& t, const step_options& opt, rt::thread_pool& pool) {
-    const double dt = opt.fixed_dt > 0.0 ? opt.fixed_dt : cfl_timestep(t, opt);
-
-    // Save U^n for the RK2 blend.
-    std::unordered_map<node_key, aligned_vector<double>> u0;
-    for (const node_key k : t.leaves_sfc()) {
-        save_u0(*t.node(k).fields, u0[k]);
-    }
-
-    if (opt.before_stage) opt.before_stage();
-    fill_all_ghosts(t, opt.bc);
-    stage(t, dt, opt, nullptr, pool);
-    if (opt.before_stage) opt.before_stage();
-    fill_all_ghosts(t, opt.bc);
-    stage(t, dt, opt, &u0, pool);
-    return dt;
-}
-
-// ---- futurized schedule ----------------------------------------------------
+// ---- per-leaf pipeline -----------------------------------------------------
 //
-// The per-leaf future pipeline, in the style of the FMM DAG (solver.cpp):
-// instead of `fill_all_ghosts` barriers before each RK stage, every ghost
-// region fill, restriction, flux sweep, reflux and leaf update is its own
-// task gated by when_all() on exactly the data it reads — plus the
-// anti-dependencies on tasks still *reading* data it overwrites. Halo
-// exchange overlaps compute across the whole step: the second stage's fills
-// start as soon as their donor leaves completed stage one, while unrelated
-// stage-one updates are still in flight, and the gravity re-solve of the
-// coupled driver (before_stage) runs concurrently with the fills and flux
-// sweeps of the stage that consumes it.
+// The step as one future graph, in the style of the FMM DAG (solver.cpp):
+// every ghost region fill, restriction, flux sweep, reflux and leaf update
+// is its own task gated by when_all() on exactly the data it reads — plus
+// the anti-dependencies on tasks still *reading* data it overwrites. There
+// is no global ghost-fill barrier: halo exchange overlaps compute across the
+// whole step. The second stage's fills start as soon as their donor leaves
+// completed stage one, while unrelated stage-one updates are still in
+// flight, and the gravity re-solve of the coupled driver (before_stage) runs
+// concurrently with the fills and flux sweeps of the stage that consumes it.
+//
+// Every task writes its own region, and each region's writers are ordered
+// by the graph, so the dt and the fields are bit-identical for any pool size
+// and steal order (test_hydro and test_core assert this).
 
 struct leaf_ctx {
     subgrid* g = nullptr;
@@ -475,7 +367,7 @@ const void* flux_region(const leaf_flux_soa* f, int axis) {
     return reinterpret_cast<const char*>(f) + 1 + axis;
 }
 
-double step_futurized(tree& t, const step_options& opt, rt::thread_pool& pool) {
+double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
     // Serial prologue: plan acquisition (allocates refined-node storage so no
     // task mutates the tree) and the pure-structure task lists.
     const ghost_plan& gp = acquire_ghost_plan(t, opt.bc);
@@ -991,8 +883,7 @@ double step(tree& t, const step_options& opt) {
                    static_cast<std::uint64_t>(exec_cfg(opt).width));
     rt::thread_pool& pool =
         opt.pool != nullptr ? *opt.pool : rt::thread_pool::global();
-    return opt.futurized ? step_futurized(t, opt, pool)
-                         : step_barriered(t, opt, pool);
+    return step_pipeline(t, opt, pool);
 }
 
 totals compute_totals(const tree& t) {

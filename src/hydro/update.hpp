@@ -57,12 +57,6 @@ struct step_options {
     /// use if the cache has no entry yet.
     bool autotune = false;
     std::string machine = "host";
-    /// Per-leaf future pipeline (ghost fills, flux sweeps, refluxes and
-    /// updates chained as continuations, RK stages overlapped) vs the
-    /// barriered fill-then-stage schedule. Identical results by
-    /// construction — the DAG encodes exactly the data dependencies the
-    /// barriers over-approximate.
-    bool futurized = true;
     double fixed_dt = 0.0;      ///< >0: skip the CFL computation
     dvec3 omega{0, 0, 0};       ///< rotating-frame angular velocity
     gravity_lookup gravity;     ///< optional gravitational coupling
@@ -81,7 +75,10 @@ struct step_options {
 };
 
 /// Advance the whole tree by one SSP-RK2 step; returns the dt taken.
-/// Leaves must hold field data; ghost zones are filled internally.
+/// Leaves must hold field data; ghost zones are filled internally. The step
+/// runs as a per-leaf future pipeline (ghost fills, flux sweeps, refluxes and
+/// updates chained as continuations, RK stages overlapped); the dt and the
+/// fields are bit-identical for any pool size and task interleaving.
 /// Discarding the dt loses the only record of how far time advanced.
 [[nodiscard]] double step(amr::tree& t, const step_options& opt);
 

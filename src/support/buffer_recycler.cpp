@@ -30,7 +30,6 @@ struct buffer_recycler::impl {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> returns{0};
-    std::atomic<bool> enabled{true};
 };
 
 buffer_recycler::buffer_recycler() : impl_(new impl) {}
@@ -41,7 +40,7 @@ buffer_recycler& buffer_recycler::instance() {
 }
 
 void* buffer_recycler::allocate(std::size_t bytes, std::size_t align) {
-    if (impl_->enabled.load(std::memory_order_relaxed)) {
+    { // pool lookup under the lock; a miss allocates outside it
         std::lock_guard lock(impl_->mutex);
         auto it = impl_->buckets.find(bucket_key(bytes, align));
         if (it != impl_->buckets.end() && !it->second.empty()) {
@@ -66,18 +65,14 @@ void* buffer_recycler::allocate(std::size_t bytes, std::size_t align) {
 void buffer_recycler::deallocate(void* p, std::size_t bytes,
                                  std::size_t align) noexcept {
     if (p == nullptr) return;
-    if (impl_->enabled.load(std::memory_order_relaxed)) {
-        impl_->returns.fetch_add(1, std::memory_order_relaxed);
-        // Free-list hand-off, producer side: whatever the parking thread
-        // wrote into the buffer happens-before the next owner's reuse.
-        sanitize::hb_before(p);
-        OCTO_TSAN_HB_BEFORE(p);
-        std::lock_guard lock(impl_->mutex);
-        impl_->buckets[bucket_key(bytes, align)].push_back(p);
-        impl_->pooled_bytes += bytes;
-        return;
-    }
-    ::operator delete(p, std::align_val_t{align});
+    impl_->returns.fetch_add(1, std::memory_order_relaxed);
+    // Free-list hand-off, producer side: whatever the parking thread wrote
+    // into the buffer happens-before the next owner's reuse.
+    sanitize::hb_before(p);
+    OCTO_TSAN_HB_BEFORE(p);
+    std::lock_guard lock(impl_->mutex);
+    impl_->buckets[bucket_key(bytes, align)].push_back(p);
+    impl_->pooled_bytes += bytes;
 }
 
 buffer_recycler::stats_t buffer_recycler::stats() const {
@@ -104,14 +99,6 @@ void buffer_recycler::clear() {
             ::operator delete(p, std::align_val_t{align});
         }
     }
-}
-
-void buffer_recycler::set_enabled(bool enabled) {
-    impl_->enabled.store(enabled, std::memory_order_release);
-}
-
-bool buffer_recycler::enabled() const {
-    return impl_->enabled.load(std::memory_order_relaxed);
 }
 
 } // namespace octo

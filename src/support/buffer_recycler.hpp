@@ -31,8 +31,7 @@ class buffer_recycler {
     /// exact same (bytes, align) bucket when one exists.
     void* allocate(std::size_t bytes, std::size_t align);
 
-    /// Return a buffer obtained from allocate(). Parks it for reuse (or
-    /// frees it immediately when recycling is disabled).
+    /// Return a buffer obtained from allocate(). Parks it for reuse.
     void deallocate(void* p, std::size_t bytes, std::size_t align) noexcept;
 
     stats_t stats() const;
@@ -40,11 +39,6 @@ class buffer_recycler {
     /// Free every parked buffer (keeps counters). Used by benchmarks to
     /// emulate cold-start allocation behaviour.
     void clear();
-
-    /// Disable/enable pooling; disabled means pass-through to the global
-    /// allocator (parked buffers stay parked until clear()).
-    void set_enabled(bool enabled);
-    bool enabled() const;
 
   private:
     buffer_recycler();

@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
 #include "physics/polytrope.hpp"
 #include "io/checkpoint.hpp"
+#include "runtime/thread_pool.hpp"
 #include "scf/scf.hpp"
+#include "support/rng.hpp"
 
 #include <cstdio>
 
@@ -89,38 +94,40 @@ TEST(Verification, StarInEquilibriumInMotion) {
                 std::abs(before.hydro.momentum.x) * 1e-7);
 }
 
+/// Two unequal off-axis polytropes with opposing motion on a depth-1 tree:
+/// an asymmetric, rotating configuration so nothing is conserved "by
+/// symmetry". The domain is 8x the blob sizes so the boundary stays
+/// numerically quiet over a few steps; the atmosphere sits at the density
+/// floor so residual boundary fluxes are ~1e-14 absolute.
+tree two_star_tree() {
+    auto t = scf::make_uniform_tree(8.0, 1);
+    scf::init_single_star(t, 1.0, 0.8, 1.5, {-0.3, 0.1, 0.0}, {0.0, 0.12, 0.0},
+                          1e-14);
+    // Overlay the second star by adding density manually.
+    phys::polytrope star2(0.3, 0.5, 1.5);
+    for (const auto k : t.leaves_sfc()) {
+        auto& g = *t.node(k).fields;
+        for (int i = 0; i < INX; ++i)
+            for (int j = 0; j < INX; ++j)
+                for (int kk = 0; kk < INX; ++kk) {
+                    const dvec3 r = g.geom.cell_center(i, j, kk);
+                    const double add = star2.rho(norm(r - dvec3{0.7, -0.2, 0.1}));
+                    if (add > 0) {
+                        const double rho0 = g.interior(f_rho, i, j, kk);
+                        g.interior(f_rho, i, j, kk) = rho0 + add;
+                        // momentum: second star moves the other way
+                        g.interior(f_sx, i, j, kk) += add * -0.3;
+                    }
+                }
+    }
+    return t;
+}
+
 TEST(Conservation, CoupledGravityHydroLedgerIsExact) {
     // The paper's headline claim at system level: with self-gravity ON,
     // total momentum AND total angular momentum (orbital + spin, including
     // the FMM spin-torque deposits) are conserved to rounding.
-    // Domain 8x the blob sizes so the boundary stays numerically quiet over
-    // 3 steps; atmosphere at the density floor so residual boundary fluxes
-    // are ~1e-14 absolute.
-    auto t = scf::make_uniform_tree(8.0, 1);
-    // An asymmetric, rotating configuration so nothing is conserved "by
-    // symmetry": two unequal off-axis blobs with opposing motion.
-    scf::init_single_star(t, 1.0, 0.8, 1.5, {-0.3, 0.1, 0.0}, {0.0, 0.12, 0.0},
-                          1e-14);
-    // Overlay the second star by adding density manually.
-    {
-        phys::polytrope star2(0.3, 0.5, 1.5);
-        for (const auto k : t.leaves_sfc()) {
-            auto& g = *t.node(k).fields;
-            for (int i = 0; i < INX; ++i)
-                for (int j = 0; j < INX; ++j)
-                    for (int kk = 0; kk < INX; ++kk) {
-                        const dvec3 r = g.geom.cell_center(i, j, kk);
-                        const double add = star2.rho(norm(r - dvec3{0.7, -0.2, 0.1}));
-                        if (add > 0) {
-                            const double rho0 = g.interior(f_rho, i, j, kk);
-                            g.interior(f_rho, i, j, kk) = rho0 + add;
-                            // momentum: second star moves the other way
-                            g.interior(f_sx, i, j, kk) += add * -0.3;
-                        }
-                    }
-        }
-    }
-    simulation sim(std::move(t), star_options());
+    simulation sim(two_star_tree(), star_options());
     const auto before = sim.diagnostics();
     for (int s = 0; s < 3; ++s) sim.advance();
     const auto after = sim.diagnostics();
@@ -133,6 +140,57 @@ TEST(Conservation, CoupledGravityHydroLedgerIsExact) {
                   lscale,
               1e-9);
     EXPECT_NEAR(after.hydro.mass, before.hydro.mass, before.hydro.mass * 1e-10);
+}
+
+/// Post `n` short spin tasks of seeded random length to `pool`. Queued
+/// ahead of, and racing with, the next step's tasks, they change which
+/// worker runs and steals what.
+void flood(rt::thread_pool& pool, xoshiro256& rng, int n) {
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t spins = 1000 + rng.below(20000);
+        EXPECT_TRUE(pool.post([spins] {
+            volatile std::uint64_t x = 0;
+            for (std::uint64_t s = 0; s < spins; ++s) x = x + 1;
+        }));
+    }
+}
+
+TEST(Determinism, CoupledStepIndependentOfPoolSize) {
+    // A coupled step runs two FMM solves and the hydro pipeline as task
+    // graphs that fix every accumulation order, so neither the number of
+    // workers nor the steal order may change a single bit: pools of 1, 2
+    // and 4 workers, plus a 4-worker pool flooded with seeded spin tasks
+    // before every step, must give the same dt sequence and leaf digests.
+    constexpr int steps = 3;
+    struct run {
+        std::vector<double> dts;
+        io::leaf_digest_map digests;
+    };
+    const auto run_on = [](unsigned workers, bool perturb) {
+        rt::thread_pool pool(workers);
+        xoshiro256 rng(0x5eed);
+        sim_options o = star_options();
+        o.pool = &pool;
+        simulation sim(two_star_tree(), o);
+        run r;
+        for (int s = 0; s < steps; ++s) {
+            if (perturb) flood(pool, rng, 64);
+            r.dts.push_back(sim.advance());
+        }
+        r.digests = io::leaf_digests(sim.grid());
+        pool.wait_idle();
+        return r;
+    };
+    const run ref = run_on(1, false);
+    ASSERT_EQ(ref.dts.size(), static_cast<std::size_t>(steps));
+    for (const auto& [workers, perturb] :
+         {std::pair{2u, false}, std::pair{4u, false}, std::pair{4u, true}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << workers << " workers, perturbed " << perturb);
+        const run r = run_on(workers, perturb);
+        EXPECT_EQ(r.dts, ref.dts);
+        EXPECT_EQ(r.digests, ref.digests);
+    }
 }
 
 TEST(Conservation, EnergyBudgetDriftIsSmall) {

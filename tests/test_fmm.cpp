@@ -662,10 +662,10 @@ TEST(LegacyIlist, MatchesStencilKernel) {
     }
 }
 
-// ---- futurized DAG and workspace recycling ----------------------------------
+// ---- dependency DAG and workspace recycling ---------------------------------
 
-/// Four-level tree (levels 0..3) with blob density, the shape used to compare
-/// the futurized and barriered schedules.
+/// Four-level tree (levels 0..3) with blob density: every DAG edge kind
+/// (M2M, coarse-fine same-level partners, L2L) occurs on it.
 tree four_level_tree() {
     tree t(unit_root());
     t.refine(root_key);
@@ -693,21 +693,27 @@ void expect_identical_gravity(const tree& t, const solver& a, const solver& b) {
     }
 }
 
-TEST(SolverDag, FuturizedMatchesBarrieredBitIdentical) {
-    // The per-node dependency DAG runs exactly the kernels of the barriered
-    // schedule with the same per-node accumulation order, so the two paths
-    // must agree to the last bit — not just to a tolerance.
+TEST(SolverDag, BitIdenticalAcrossPoolSizes) {
+    // Each node's accumulation order is fixed by the dependency graph, not by
+    // which worker runs a task, so solves on private pools of 1, 2 and 4
+    // workers (different interleavings and steal orders) must agree to the
+    // last bit — not just to a tolerance.
     tree t = four_level_tree();
-    solver fut({.conserve = am_mode::spin_deposit, .futurized = true});
-    fut.solve(t);
-    solver bar({.conserve = am_mode::spin_deposit, .futurized = false});
-    bar.solve(t);
-    expect_identical_gravity(t, fut, bar);
+    rt::thread_pool serial(1);
+    solver ref({.conserve = am_mode::spin_deposit, .pool = &serial});
+    ref.solve(t);
+    for (const unsigned workers : {2u, 4u}) {
+        SCOPED_TRACE(workers);
+        rt::thread_pool pool(workers);
+        solver s({.conserve = am_mode::spin_deposit, .pool = &pool});
+        s.solve(t);
+        expect_identical_gravity(t, ref, s);
+    }
 }
 
-TEST(SolverDag, FuturizedKeepsConservationInvariants) {
+TEST(SolverDag, KeepsConservationInvariants) {
     tree t = four_level_tree();
-    solver s({.conserve = am_mode::spin_deposit, .futurized = true});
+    solver s({.conserve = am_mode::spin_deposit});
     s.solve(t);
 
     double fscale = 0;

@@ -396,7 +396,7 @@ TEST(Apex, PeerDeathCountersSurfaceInTheRegistry) {
 }
 
 TEST(Apex, HydroStepRegistersPipelineCounters) {
-    // The futurized hydro step must publish its task-graph counters: the
+    // The hydro step pipeline must publish its task-graph counters: the
     // number of pipeline tasks, the per-leaf CFL reduction tasks, the SIMD
     // lane width gauge, and the ghost-fill/compute overlap gauge.
     auto& reg = apex_registry::instance();
@@ -419,7 +419,7 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
                         eos.tau_from_internal(1.0);
                 }
     }
-    hydro::step_options opt; // defaults: use_simd + futurized
+    hydro::step_options opt; // defaults: use_simd
     opt.eos = eos;
     (void)hydro::step(t, opt);
 
@@ -433,14 +433,12 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
     // The overlap gauge is a percentage.
     EXPECT_LE(reg.counter("hydro.ghost_overlap_fraction"), 100u);
 
-    // The scalar/barriered ablation path reports lane width 1 and posts no
-    // pipeline tasks beyond the CFL reduction.
+    // The scalar-kernel ablation reports lane width 1 and still runs one
+    // CFL task per leaf.
     reg.reset();
     opt.use_simd = false;
-    opt.futurized = false;
     (void)hydro::step(t, opt);
     EXPECT_EQ(reg.counter("hydro.simd_width"), 1u);
-    EXPECT_EQ(reg.counter("hydro.stage_tasks"), 0u);
     EXPECT_EQ(reg.counter("hydro.cfl_tasks"), leaves);
 }
 

@@ -306,8 +306,7 @@ void init_state(tree& t, const Ic& ic) {
     }
 }
 
-void expect_clean_steps(tree& t, step_options opt, int steps) {
-    opt.futurized = true;
+void expect_clean_steps(tree& t, const step_options& opt, int steps) {
     sanitize::session s;
     for (int i = 0; i < steps; ++i) {
         const double dt = step(t, opt);

@@ -217,23 +217,6 @@ TEST(BufferRecycler, ClearDropsParkedBuffers) {
     r.clear();
 }
 
-TEST(BufferRecycler, DisabledMeansPassThrough) {
-    auto& r = octo::buffer_recycler::instance();
-    constexpr std::size_t bytes = 45'679;
-    r.clear();
-    r.set_enabled(false);
-    const auto s0 = r.stats();
-    void* p = r.allocate(bytes, 64);
-    r.deallocate(p, bytes, 64); // freed, not parked
-    void* q = r.allocate(bytes, 64);
-    r.deallocate(q, bytes, 64);
-    const auto s1 = r.stats();
-    EXPECT_EQ(s1.hits - s0.hits, 0u);
-    EXPECT_EQ(s1.misses - s0.misses, 2u);
-    EXPECT_EQ(s1.returns - s0.returns, 0u);
-    r.set_enabled(true);
-}
-
 TEST(BufferRecycler, AlignedVectorRoundTripsThroughPool) {
     auto& r = octo::buffer_recycler::instance();
     constexpr std::size_t n = 7'001; // distinctive element count

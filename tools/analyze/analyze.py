@@ -5,7 +5,7 @@ Runs ten rules over src/, examples/ and bench/ on a shared C++ source model
 (comment/string stripping, brace/scope tree, lambda-launch detection, per-TU
 symbol tables — see cxx.py / symbols.py):
 
-  legacy lint tier (tools/lint/lint.py re-hosted, identical semantics):
+  futurization lint tier (the original regex rules, rules_legacy.py):
     dropped-future, raw-hot-alloc, relaxed-publish, nodiscard,
     direct-stream-acquire, backend-variant
 

@@ -1,9 +1,9 @@
 """The six futurization lint rules, re-hosted on the shared source model.
 
-Semantics are identical to the historical tools/lint/lint.py regex pass —
-same patterns, same messages, same path gating — but they now run over the
-TU's stripped text/statement stream from cxx.py, and suppression handling
-moved to the driver (which also detects stale allows).
+Semantics are identical to the original stand-alone regex pass — same
+patterns, same messages, same path gating — but they run over the TU's
+stripped text/statement stream from cxx.py, and suppression handling lives
+in the driver (which also detects stale allows).
 """
 
 import os
