@@ -133,9 +133,7 @@ struct sweep_outcome {
 /// Sweep width x tile for one CPU kernel, print/emit every candidate, store
 /// the winner in the cache under (machine="host", key, simd). The fixed
 /// default (full pack width, untiled) is measured FIRST and ties keep the
-/// earlier candidate, so tuned >= default by construction; a gpu-backend row
-/// (the same double body the scalar policy runs) is reported for the table
-/// but not tuned.
+/// earlier candidate, so tuned >= default by construction.
 sweep_outcome host_sweep(const std::string& key, double flops_per_call,
                          const std::vector<int>& tiles, json_value& rows,
                          const std::function<void(const kernel::exec_config&)>& run) {
@@ -170,22 +168,6 @@ sweep_outcome host_sweep(const std::string& key, double flops_per_call,
                       .add("gflops", c.gflops)
                       .add("is_default", is_default));
     }
-    // The modeled-gpu policy executes the same double instantiation as
-    // exec::scalar — report it so the table shows all three backends.
-    kernel::tuned_config gc;
-    gc.backend = kernel::backend_kind::gpu;
-    gc.width = 1;
-    gc.tile = 0;
-    gc.gflops = measure_gflops(flops_per_call, [&] { run(gc.exec()); });
-    std::printf("  %-18s %-7s w=%d tile=%-3d %9.2f GFLOP/s\n", key.c_str(), "gpu",
-                gc.width, gc.tile, gc.gflops);
-    rows.push(json_value::object()
-                  .add("kernel", key)
-                  .add("backend", "gpu")
-                  .add("width", gc.width)
-                  .add("tile", gc.tile)
-                  .add("gflops", gc.gflops)
-                  .add("is_default", false));
 
     kernel::global_autotune().store("host", key, kernel::backend_kind::simd,
                                     out.best);

@@ -120,8 +120,7 @@ void solver::m2m(tree& t, node_key k) {
         sanitize::region_read(&cm, "fmm.moments");
         children[c] = &cm;
     }
-    kernel::run_fmm_m2m(kernel::exec_config{kernel::backend_kind::scalar, 1, 0},
-                        children, geom, mom, invm);
+    kernel::fmm_m2m<kernel::exec::scalar>(children, geom, mom, invm);
 }
 
 void solver::fill_buffer_region(tree& t, node_key nb, const ivec3& off,
@@ -225,8 +224,10 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     const auto& self_invm = invm_.at(k);
 
     // Launch one kernel per non-empty partner class. GPU offload follows the
-    // paper's policy (§5.1): grab an idle stream if one exists, otherwise the
-    // launching thread runs the (vectorized) kernel itself.
+    // paper's policy (§5.1): hand the kernels to the device if it accepts
+    // them, otherwise the launching thread runs them itself. Either way they
+    // run through the solver's resolved launch geometry (scalar/SIMD width +
+    // receiver-row tile, possibly autotuned).
     struct launch_spec {
         kernel_class kc;
         bool monopole_math; // both sides leaves: the cheap kernel
@@ -272,10 +273,11 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     }
 
     // Both partner classes accumulate into the same output arrays, so when
-    // offloading, the node's launches form ONE work item: inside a fused
-    // batch they execute in submission order on a single stream, so the
-    // accumulation order matches the CPU path exactly and two batches never
-    // race on out.L. The executor may pack many such items into one launch
+    // offloading, the node's launches form ONE work item: the item runs them
+    // in order as one device block, so the accumulation order and the
+    // compiled kernels match the CPU path exactly (a run with the device is
+    // bit-identical to one without), and no two blocks of a batch touch the
+    // same node. The executor may pack many such items into one launch
     // (arXiv:2210.06438); if it refuses (saturated, or an injected
     // stream-acquire fault), we fall through to the CPU path below — the
     // per-kernel fallback of §5.1, unchanged.
@@ -297,14 +299,14 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
         };
         auto batch =
             std::make_shared<std::vector<launch_spec>>(std::move(launches));
-        item.kernel = [&self_mom, &self_invm, &out, batch](const double*) {
-            const kernel::exec_config gcfg{kernel::backend_kind::gpu, 1, 0};
+        item.kernel = [&self_mom, &self_invm, &out, batch, mono_cfg = mono_cfg_,
+                       multi_cfg = multi_cfg_](const double*) {
             for (const auto& s : *batch) {
                 if (s.monopole_math) {
-                    kernel::run_fmm_monopole(gcfg, self_mom, *s.buf, s.opt, out);
+                    kernel::run_fmm_monopole(mono_cfg, self_mom, *s.buf, s.opt, out);
                 } else {
-                    kernel::run_fmm_multipole(gcfg, self_mom, self_invm, *s.buf,
-                                              s.opt, out);
+                    kernel::run_fmm_multipole(multi_cfg, self_mom, self_invm,
+                                              *s.buf, s.opt, out);
                 }
             }
         };
@@ -315,8 +317,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
         launches = std::move(*batch); // rejected: run them on the CPU
     }
 
-    // CPU path: the same kernel bodies through the solver's resolved launch
-    // geometry (scalar/SIMD width + receiver-row tile, possibly autotuned).
+    // CPU path: the same kernels, run by the launching thread.
     for (auto& s : launches) {
         count_launch(s.kc, exec_site::cpu);
         if (s.monopole_math) {
@@ -347,8 +348,8 @@ void solver::l2l(tree& t, node_key k) {
         sanitize::region_read(childM[c], "fmm.moments");
     }
 
-    kernel::run_fmm_l2l(kernel::exec_config{kernel::backend_kind::scalar, 1, 0},
-                        parentL, pm, childM, childLw, opt_.conserve);
+    kernel::fmm_l2l<kernel::exec::scalar>(parentL, pm, childM, childLw,
+                                          opt_.conserve);
 }
 
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "runtime/apex.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sanitize/hooks.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
@@ -13,12 +14,11 @@ namespace octo::gpu {
 
 // ---- device_group -----------------------------------------------------------
 
-device_group::device_group(const device_spec& spec, unsigned count,
-                           unsigned workers_per_device) {
+device_group::device_group(const device_spec& spec, unsigned count) {
     OCTO_ASSERT(count > 0);
     devs_.reserve(count);
     for (unsigned i = 0; i < count; ++i) {
-        devs_.push_back(std::make_unique<device>(spec, workers_per_device));
+        devs_.push_back(std::make_unique<device>(spec));
     }
 }
 
@@ -120,8 +120,12 @@ void aggregator::flush() {
 
 void aggregator::drain() {
     flush();
+    // Fused batches execute as host-pool tasks. Called on a pool worker,
+    // drain() runs pending tasks while it waits, so a pool whose every
+    // worker is draining still makes progress.
+    rt::thread_pool* pool = rt::thread_pool::current();
     while (inflight_.load(std::memory_order_acquire) != 0) {
-        std::this_thread::yield();
+        if (pool == nullptr || !pool->run_pending_task()) std::this_thread::yield();
     }
 }
 
@@ -204,23 +208,29 @@ void aggregator::launch_batch(std::vector<pending_item> items, kernel_class kc) 
     stats_.max_batch_seen = std::max<std::uint64_t>(stats_.max_batch_seen, n);
     lock_.unlock();
 
-    // The fused device function: execute every slice in submission order,
-    // completing each submitter's promise exactly once.
-    auto fused = [this, items = std::move(items), staging = std::move(staging),
-                  offsets = std::move(offsets)]() mutable {
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            const double* slice = items[i].item.staging_doubles != 0
-                                      ? staging.data() + offsets[i]
-                                      : nullptr;
-            if (slice != nullptr) sanitize::region_read(slice, "gpu.staging");
-            try {
-                if (items[i].item.kernel) items[i].item.kernel(slice);
-                items[i].done.set_value();
-            } catch (...) {
-                items[i].done.set_exception(std::current_exception());
-            }
-            inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    // The fused device function, one block per item: each block executes
+    // its item's slice and completes that submitter's promise exactly once.
+    // Items write disjoint outputs, so the blocks may run in any order.
+    struct batch_state {
+        std::vector<pending_item> items;
+        aligned_vector<double> staging;
+        std::vector<std::size_t> offsets;
+    };
+    auto batch = std::make_shared<batch_state>(
+        batch_state{std::move(items), std::move(staging), std::move(offsets)});
+    auto run_item = [this, batch](std::size_t i) {
+        auto& p = batch->items[i];
+        const double* slice = p.item.staging_doubles != 0
+                                  ? batch->staging.data() + batch->offsets[i]
+                                  : nullptr;
+        if (slice != nullptr) sanitize::region_read(slice, "gpu.staging");
+        try {
+            if (p.item.kernel) p.item.kernel(slice);
+            p.done.set_value();
+        } catch (...) {
+            p.done.set_exception(std::current_exception());
         }
+        inflight_.fetch_sub(1, std::memory_order_acq_rel);
     };
 
     device* dev = pick_device();
@@ -250,8 +260,8 @@ void aggregator::launch_batch(std::vector<pending_item> items, kernel_class kc) 
         lock_.unlock();
         // One fused launch: a single stream, a single launch overhead, one
         // gpu-site accounting entry for the whole batch. Per-item completion
-        // happens inside the fused closure, so the launch future is redundant.
-        rt::detach(lease->launch(std::move(fused), total_flops, kc));
+        // happens inside each block, so the launch future is redundant.
+        rt::detach(lease->launch(n, std::move(run_item), total_flops, kc));
         return;
     }
 
@@ -264,7 +274,7 @@ void aggregator::launch_batch(std::vector<pending_item> items, kernel_class kc) 
     lock_.unlock();
     count_launch(kc, exec_site::cpu);
     count_flops(kc, exec_site::cpu, total_flops);
-    fused();
+    for (std::size_t i = 0; i < n; ++i) run_item(i);
 }
 
 } // namespace octo::gpu

@@ -15,17 +15,22 @@
 //
 //   * work_item     — {input slice, kernel class, flops} descriptor; the
 //                     kernel closure is the simulated device code (the same
-//                     scalar function template the CPU path runs, so results
-//                     are bit-identical by construction).
-//   * device_group  — K simulated devices with independent worker pools and
-//                     stream pools; the executor dispatches each batch to the
-//                     least-loaded device (round-robin on ties).
+//                     compiled kernels and launch geometry the CPU path
+//                     runs, so results are bit-identical by construction).
+//   * device_group  — K simulated devices with independent stream pools; the
+//                     executor dispatches each batch to the least-loaded
+//                     device (round-robin on ties).
 //   * aggregator    — the work-item queue. submit() returns a future that
 //                     completes exactly once, when the item's slice of its
 //                     fused batch has executed. It returns nullopt — the
 //                     paper's CPU-fallback condition — when the device pool
 //                     is saturated or a seeded stream-acquire fault fires,
 //                     so callers keep the §5.1 per-kernel CPU fallback.
+//
+// A fused launch runs its items data-parallel: one device block per item,
+// each a task on the host pool (the data-parallel fused kernel of
+// arXiv:2210.06438). Items of one batch must therefore write disjoint
+// outputs; work that must stay ordered belongs in one item.
 //
 // Batches flush when they reach max_batch items or when the oldest pending
 // item exceeds flush_after_us (a background flusher guarantees progress, so
@@ -83,12 +88,11 @@ struct aggregator_options {
     std::size_t saturation_items = 0;
 };
 
-/// K simulated devices of the same spec, each with its own worker pool and
-/// stream pool — the multi-device extension of the single-device model.
+/// K simulated devices of the same spec, each with its own stream pool —
+/// the multi-device extension of the single-device model.
 class device_group {
   public:
-    device_group(const device_spec& spec, unsigned count,
-                 unsigned workers_per_device = 2);
+    device_group(const device_spec& spec, unsigned count);
 
     std::size_t size() const { return devs_.size(); }
     device& at(std::size_t i) { return *devs_[i]; }
@@ -123,7 +127,8 @@ class aggregator {
     /// Launch every pending partial batch now.
     void flush();
 
-    /// flush() and block until every submitted item has completed.
+    /// flush() and block until every submitted item has completed. On a
+    /// host-pool worker it runs pending tasks while it waits.
     void drain();
 
     const aggregator_options& options() const { return opt_; }

@@ -1,8 +1,13 @@
 #include "gpu/device.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <thread>
 
 #include "runtime/apex.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 
@@ -26,12 +31,19 @@ device_spec v100() {
             .launch_overhead_us = 5.0};
 }
 
-device::device(device_spec spec, unsigned nworkers)
-    : spec_(std::move(spec)), workers_(std::make_unique<rt::thread_pool>(nworkers)) {
+device::device(device_spec spec) : spec_(std::move(spec)) {
     OCTO_ASSERT(spec_.max_streams > 0);
 }
 
-device::~device() = default;
+device::~device() {
+    // Blocks of a launch still reference this device until the last one
+    // releases the stream. A destructor running on a host-pool worker helps
+    // execute them, so a pool with every worker here cannot starve them.
+    rt::thread_pool* pool = rt::thread_pool::current();
+    while (outstanding_.load(std::memory_order_acquire) != 0) {
+        if (pool == nullptr || !pool->run_pending_task()) std::this_thread::yield();
+    }
+}
 
 std::optional<stream_lease> device::try_acquire_stream() {
     if (auto lease = acquire_impl()) return lease;
@@ -67,8 +79,26 @@ void device::release_stream() {
     OCTO_ASSERT(prev > 0);
 }
 
-rt::future<void> device::enqueue(std::function<void()> kernel, std::uint64_t flops,
-                                 kernel_class kc) {
+namespace {
+
+/// Shared by the blocks of one launch; the block that brings `remaining` to
+/// zero completes the launch.
+struct launch_state {
+    std::function<void(std::size_t)> block;
+    std::atomic<std::size_t> remaining;
+    std::uint64_t flops;
+    kernel_class kc;
+    rt::promise<void> done;
+    std::once_flag first_error;
+    std::exception_ptr error;
+};
+
+} // namespace
+
+rt::future<void> device::enqueue(std::size_t blocks,
+                                 std::function<void(std::size_t)> block,
+                                 std::uint64_t flops, kernel_class kc) {
+    OCTO_ASSERT(blocks > 0);
     kernels_.fetch_add(1, std::memory_order_relaxed);
     count_launch(kc, exec_site::gpu);
     // Modeled occupancy at launch time: every busy stream's kernel holds
@@ -79,19 +109,47 @@ rt::future<void> device::enqueue(std::function<void()> kernel, std::uint64_t flo
         spec_.blocks_per_kernel;
     rt::apex_gauge("gpu.occupancy_pct",
                    std::min<std::uint64_t>(100, busy_blocks * 100 / spec_.num_sms));
-    return rt::async(*workers_, [this, kernel = std::move(kernel), flops, kc] {
-        kernel();
-        count_flops(kc, exec_site::gpu, flops);
-        release_stream(); // stream becomes idle once its work drained
-    });
+
+    auto st = std::make_shared<launch_state>();
+    st->block = std::move(block);
+    st->remaining.store(blocks, std::memory_order_release);
+    st->flops = flops;
+    st->kc = kc;
+    auto fut = st->done.get_future();
+    outstanding_.fetch_add(1, std::memory_order_acq_rel);
+
+    rt::thread_pool& pool = rt::thread_pool::global();
+    for (std::size_t i = 0; i < blocks; ++i) {
+        const bool posted = pool.post([this, st, i] {
+            try {
+                st->block(i);
+            } catch (...) {
+                std::call_once(st->first_error,
+                               [&] { st->error = std::current_exception(); });
+            }
+            if (st->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+            count_flops(st->kc, exec_site::gpu, st->flops);
+            release_stream(); // stream becomes idle once its work drained
+            if (st->error) {
+                st->done.set_exception(st->error);
+            } else {
+                st->done.set_value();
+            }
+            // Last touch of the device: ~device may return after this.
+            outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+        });
+        OCTO_ASSERT_MSG(posted, "device launch on a closed host pool");
+    }
+    return fut;
 }
 
-rt::future<void> stream_lease::launch(std::function<void()> kernel, std::uint64_t flops,
-                                      kernel_class kc) {
+rt::future<void> stream_lease::launch(std::size_t blocks,
+                                      std::function<void(std::size_t)> block,
+                                      std::uint64_t flops, kernel_class kc) {
     OCTO_ASSERT_MSG(dev_ != nullptr, "launch on an empty stream lease");
     device* d = dev_;
     dev_ = nullptr; // the device releases the stream when the kernel completes
-    return d->enqueue(std::move(kernel), flops, kc);
+    return d->enqueue(blocks, std::move(block), flops, kc);
 }
 
 } // namespace octo::gpu

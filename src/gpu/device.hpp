@@ -10,23 +10,25 @@
 //
 // No physical GPU exists in this environment, so `octo::gpu::device`
 // reproduces the *semantics*: a fixed pool of streams, asynchronous kernel
-// launches that really execute (on a small dedicated worker pool, standing
-// in for the device), and completion futures compatible with the runtime.
-// Timing for the paper's Table 2 is produced by the machine model in
-// src/cluster, parameterized by the device_spec below; the futures/stream
-// plumbing here is what the core simulation actually runs on, so results
-// are bit-identical between the CPU and "GPU" paths.
+// launches that really execute, and completion futures compatible with the
+// runtime. A launch is a grid of independent blocks; the device runs each
+// block as one task on the host pool (rt::thread_pool::global()), so a
+// fused batch executes data-parallel at host speed. Timing for the paper's
+// Table 2 is produced by the machine model in src/cluster, parameterized by
+// the device_spec below; the futures/stream plumbing here is what the core
+// simulation actually runs on. Callers launch the same compiled kernels
+// they run on the CPU, so results are bit-identical between the CPU and
+// "GPU" paths.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/future.hpp"
-#include "runtime/thread_pool.hpp"
 #include "support/flops.hpp"
 
 namespace octo::gpu {
@@ -60,9 +62,13 @@ class stream_lease;
 
 class device {
   public:
-    /// `spec` describes the modeled hardware; `nworkers` is the number of
-    /// host threads standing in for the device's execution engine.
-    explicit device(device_spec spec, unsigned nworkers = 2);
+    /// `spec` describes the modeled hardware.
+    explicit device(device_spec spec);
+    /// The unnamed second parameter is ignored: it used to size a private
+    /// worker pool, and stepbench still passes it. It goes away when
+    /// stepbench moves to a single execution context.
+    device(device_spec spec, unsigned) : device(std::move(spec)) {}
+    /// Waits for every outstanding launch to finish.
     ~device();
 
     const device_spec& spec() const { return spec_; }
@@ -83,14 +89,15 @@ class device {
     friend class stream_lease;
 
     std::optional<stream_lease> acquire_impl();
-    rt::future<void> enqueue(std::function<void()> kernel, std::uint64_t flops,
-                             kernel_class kc);
+    rt::future<void> enqueue(std::size_t blocks,
+                             std::function<void(std::size_t)> block,
+                             std::uint64_t flops, kernel_class kc);
     void release_stream();
 
     device_spec spec_;
-    std::unique_ptr<rt::thread_pool> workers_;
     std::atomic<unsigned> in_use_{0};
     std::atomic<std::uint64_t> kernels_{0};
+    std::atomic<std::size_t> outstanding_{0}; ///< launches not yet finished
 };
 
 class stream_lease {
@@ -108,12 +115,17 @@ class stream_lease {
     stream_lease& operator=(const stream_lease&) = delete;
     ~stream_lease() { release(); }
 
-    /// Launch `kernel` asynchronously on this stream. The returned future
-    /// becomes ready when the kernel has executed (the CUDA-event→future
-    /// bridge of paper §5.1). The stream is released automatically when the
-    /// lease is destroyed after the launch completes; keep the lease alive
-    /// until then (the future holds a copy internally).
-    rt::future<void> launch(std::function<void()> kernel, std::uint64_t flops,
+    /// Launch one kernel of `blocks` independent blocks on this stream:
+    /// `block(i)` runs once for every i in [0, blocks), each as its own
+    /// host-pool task, so blocks must write disjoint outputs. The launch
+    /// counts as one kernel with `flops` FLOPs. The returned future becomes
+    /// ready when the last block has executed (the CUDA-event→future bridge
+    /// of paper §5.1); it carries the first exception a block threw. The
+    /// lease is consumed: the stream is released when the last block
+    /// finishes.
+    rt::future<void> launch(std::size_t blocks,
+                            std::function<void(std::size_t)> block,
+                            std::uint64_t flops,
                             kernel_class kc = kernel_class::other);
 
   private:

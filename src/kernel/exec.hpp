@@ -8,12 +8,10 @@
 //
 //   exec::scalar   — T = double, one lane.
 //   exec::simd<W>  — T = simd::pack<double, W>, W lanes per op.
-//   exec::gpu      — T = double; the modeled device executes the *same*
-//                    double instantiation the scalar backend uses (the
-//                    paper's "instantiate the same function template with
-//                    scalar datatypes and call it within the GPU kernel"
-//                    trick, §5.1), so scalar-vs-GPU bit-identity holds by
-//                    construction: both policies call one compiled function.
+//
+// The simulated device has no policy of its own: an offloaded kernel runs
+// the caller's exec_config, so the device and the CPU call one compiled
+// function and their results are bit-identical by construction.
 //
 // A runtime `exec_config` (backend, width, tile) — usually produced by the
 // autotuner (autotune.hpp) — is mapped onto these policies by dispatch().
@@ -24,6 +22,8 @@
 
 namespace octo::kernel {
 
+/// `gpu` names no execution policy; it keys the autotune-cache entry for
+/// the device's aggregation batch and flush timeout (fmm.same_level).
 enum class backend_kind : int { scalar = 0, simd = 1, gpu = 2 };
 
 inline const char* backend_name(backend_kind b) {
@@ -48,12 +48,6 @@ struct simd {
     using value_type = octo::simd::pack<double, static_cast<std::size_t>(W)>;
     static constexpr int width = W;
     static constexpr backend_kind backend = backend_kind::simd;
-};
-
-struct gpu {
-    using value_type = double; // same instantiation as exec::scalar — see top
-    static constexpr int width = 1;
-    static constexpr backend_kind backend = backend_kind::gpu;
 };
 
 } // namespace exec
@@ -133,10 +127,6 @@ inline double lane(const T& v, int l) {
 /// widths fall back to the build's default pack width.
 template <class F>
 void dispatch(const exec_config& cfg, F&& f) {
-    if (cfg.backend == backend_kind::gpu) {
-        f(exec::gpu{});
-        return;
-    }
     if (cfg.backend == backend_kind::scalar || cfg.width <= 1) {
         f(exec::scalar{});
         return;

@@ -1,10 +1,10 @@
 // Portable FMM kernel bodies (ISSUE 7). Each kernel below is the ONE source
 // of truth: the former hand-written scalar / SIMD variants in
 // src/fmm/kernels.cpp and the solver's inline M2M / L2L loops were moved
-// here verbatim and deleted there. The value type T is double or
-// simd::pack<double, W>; exec::scalar and exec::gpu both bind T = double, so
-// the modeled-GPU path executes literally the same compiled function as the
-// scalar CPU path (bit-identity by construction, paper §5.1).
+// here verbatim and deleted there. The value type T is double
+// (exec::scalar) or simd::pack<double, W> (exec::simd<W>). The simulated
+// GPU runs the solver's own launch geometry, so it executes literally the
+// same compiled function as the CPU path (bit-identity by construction).
 
 #include "kernel/fmm.hpp"
 
@@ -601,7 +601,7 @@ template <class Exec>
 void fmm_m2m(const node_moments* const children[8], const amr::box_geometry& geom,
              node_moments& mom, aligned_vector<double>& invm) {
     static_assert(Exec::width == 1,
-                  "M2M is octant-strided-gather bound: scalar/gpu policies only");
+                  "M2M is octant-strided-gather bound: scalar policy only");
     m2m_body(children, geom, mom, invm);
 }
 
@@ -610,12 +610,11 @@ void fmm_l2l(const node_gravity& parentL, const node_moments& pm,
              const node_moments* const childM[8], node_gravity* const childLw[8],
              am_mode conserve) {
     static_assert(Exec::width == 1,
-                  "L2L is octant-strided-gather bound: scalar/gpu policies only");
+                  "L2L is octant-strided-gather bound: scalar policy only");
     l2l_body(parentL, pm, childM, childLw, conserve);
 }
 
-// Explicit instantiations: every policy dispatch() can produce. exec::scalar
-// and exec::gpu both bind T = double, so the bodies compile once for both.
+// Explicit instantiations: every policy dispatch() can produce.
 #define OCTO_KERNEL_FMM_SL(E)                                                      \
     template void fmm_monopole<E>(const node_moments&, const partner_buffer&,      \
                                   const kernel_options&, int, node_gravity&);      \
@@ -626,7 +625,6 @@ OCTO_KERNEL_FMM_SL(exec::scalar)
 OCTO_KERNEL_FMM_SL(exec::simd<2>)
 OCTO_KERNEL_FMM_SL(exec::simd<4>)
 OCTO_KERNEL_FMM_SL(exec::simd<8>)
-OCTO_KERNEL_FMM_SL(exec::gpu)
 #undef OCTO_KERNEL_FMM_SL
 
 #define OCTO_KERNEL_FMM_TREE(E)                                                    \
@@ -636,7 +634,6 @@ OCTO_KERNEL_FMM_SL(exec::gpu)
                              const node_moments* const[8], node_gravity* const[8], \
                              am_mode);
 OCTO_KERNEL_FMM_TREE(exec::scalar)
-OCTO_KERNEL_FMM_TREE(exec::gpu)
 #undef OCTO_KERNEL_FMM_TREE
 
 // ---- runtime dispatch ------------------------------------------------------
@@ -656,26 +653,6 @@ void run_fmm_multipole(const exec_config& cfg, const node_moments& self,
     dispatch(cfg, [&](auto ex) {
         fmm_multipole<decltype(ex)>(self, self_invm, partners, opt, cfg.tile, out);
     });
-}
-
-void run_fmm_m2m(const exec_config& cfg, const node_moments* const children[8],
-                 const amr::box_geometry& geom, node_moments& mom,
-                 aligned_vector<double>& invm) {
-    if (cfg.backend == backend_kind::gpu) {
-        fmm_m2m<exec::gpu>(children, geom, mom, invm);
-    } else {
-        fmm_m2m<exec::scalar>(children, geom, mom, invm);
-    }
-}
-
-void run_fmm_l2l(const exec_config& cfg, const node_gravity& parentL,
-                 const node_moments& pm, const node_moments* const childM[8],
-                 node_gravity* const childLw[8], am_mode conserve) {
-    if (cfg.backend == backend_kind::gpu) {
-        fmm_l2l<exec::gpu>(parentL, pm, childM, childLw, conserve);
-    } else {
-        fmm_l2l<exec::scalar>(parentL, pm, childM, childLw, conserve);
-    }
 }
 
 } // namespace octo::kernel

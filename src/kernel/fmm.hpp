@@ -34,19 +34,20 @@ void fmm_multipole(const fmm::node_moments& self, const aligned_vector<double>& 
                    int tile, fmm::node_gravity& out);
 
 /// M2M: reduce the 8 children's moments (indexed by octant) into the parent
-/// node. Octant-strided gather bound — scalar and gpu policies only.
+/// node. Octant-strided gather bound — scalar policy only.
 template <class Exec>
 void fmm_m2m(const fmm::node_moments* const children[8], const amr::box_geometry& geom,
              fmm::node_moments& mom, aligned_vector<double>& invm);
 
 /// L2L: translate the parent's local expansions (and the spin-torque
-/// ledger) down to the 8 children. Scalar and gpu policies only.
+/// ledger) down to the 8 children. Scalar policy only.
 template <class Exec>
 void fmm_l2l(const fmm::node_gravity& parentL, const fmm::node_moments& pm,
              const fmm::node_moments* const childM[8],
              fmm::node_gravity* const childLw[8], fmm::am_mode conserve);
 
 // ---- runtime dispatch on an exec_config -----------------------------------
+// (M2M and L2L have the scalar policy only; callers instantiate it directly.)
 
 void run_fmm_monopole(const exec_config& cfg, const fmm::node_moments& self,
                       const fmm::partner_buffer& partners,
@@ -56,13 +57,5 @@ void run_fmm_multipole(const exec_config& cfg, const fmm::node_moments& self,
                        const aligned_vector<double>& self_invm,
                        const fmm::partner_buffer& partners,
                        const fmm::kernel_options& opt, fmm::node_gravity& out);
-
-void run_fmm_m2m(const exec_config& cfg, const fmm::node_moments* const children[8],
-                 const amr::box_geometry& geom, fmm::node_moments& mom,
-                 aligned_vector<double>& invm);
-
-void run_fmm_l2l(const exec_config& cfg, const fmm::node_gravity& parentL,
-                 const fmm::node_moments& pm, const fmm::node_moments* const childM[8],
-                 fmm::node_gravity* const childLw[8], fmm::am_mode conserve);
 
 } // namespace octo::kernel

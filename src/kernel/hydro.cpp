@@ -1,9 +1,10 @@
 // Portable hydro kernel bodies (ISSUE 7). Each kernel is the ONE source of
 // truth: the SIMD SoA pencil path (former src/hydro/pencil.cpp) and the
 // scalar AoS path (former src/hydro/update.cpp kernels) collapsed into one
-// T-templated body per kernel. T = double (exec::scalar AND exec::gpu — the
-// modeled GPU runs literally the same compiled double instantiation, so
-// scalar-vs-GPU bit-identity holds by construction) or simd::pack<double, W>.
+// T-templated body per kernel. T = double (exec::scalar) or
+// simd::pack<double, W> (exec::simd<W>). Offloaded flux sweeps run the step's
+// own launch geometry, so they execute the same compiled function as the CPU
+// path.
 
 #include "kernel/hydro.hpp"
 
@@ -531,8 +532,7 @@ void hydro_dual_energy(amr::subgrid& g, const ideal_gas_eos& eos) {
     dual_energy_body<typename Exec::value_type>(g, eos);
 }
 
-// Explicit instantiations: every policy dispatch() can produce. exec::scalar
-// and exec::gpu both bind T = double, so each body compiles once for both.
+// Explicit instantiations: every policy dispatch() can produce.
 #define OCTO_KERNEL_HYDRO(E)                                                       \
     template void hydro_primitives<E>(const double*, const ideal_gas_eos&, int,    \
                                       double*);                                    \
@@ -550,7 +550,6 @@ OCTO_KERNEL_HYDRO(exec::scalar)
 OCTO_KERNEL_HYDRO(exec::simd<2>)
 OCTO_KERNEL_HYDRO(exec::simd<4>)
 OCTO_KERNEL_HYDRO(exec::simd<8>)
-OCTO_KERNEL_HYDRO(exec::gpu)
 #undef OCTO_KERNEL_HYDRO
 
 // ---- runtime dispatch ------------------------------------------------------

@@ -128,7 +128,9 @@ class pack {
     vec v_;
 };
 
-/// sqrt applied lane-wise.
+/// sqrt applied lane-wise. Compiled with -fno-math-errno (the kernel
+/// library's flags) the lane loop becomes one packed sqrt; the result is
+/// the correctly rounded IEEE sqrt of each lane either way.
 template <class T, std::size_t W>
 pack<T, W> sqrt(pack<T, W> a) {
     pack<T, W> r;

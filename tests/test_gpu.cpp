@@ -1,9 +1,10 @@
 // Tests for the simulated CUDA device: stream pool semantics, the
 // kernel→future bridge, the all-streams-busy fallback condition, FLOP
 // accounting per execution site (paper §5.1, §6.1), and the GPU work
-// aggregation executor (arXiv:2210.06438): fused batches, flush thresholds,
-// exactly-once completion, fault-driven CPU fallback, multi-device dispatch,
-// and bit-identical aggregated FMM solves.
+// aggregation executor (arXiv:2210.06438): fused batches whose items run
+// concurrently on the host pool, flush thresholds, exactly-once completion,
+// fault-driven CPU fallback, multi-device dispatch, drain from a pool worker,
+// and aggregated FMM solves bit-identical to the CPU path.
 
 #include <gtest/gtest.h>
 
@@ -37,23 +38,24 @@ TEST(DeviceSpec, PresetsMatchPaperHardware) {
 }
 
 TEST(Device, KernelExecutesAndFutureCompletes) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     auto lease = dev.try_acquire_stream();
     ASSERT_TRUE(lease.has_value());
     std::atomic<int> ran{0};
-    auto f = lease->launch([&] { ran = 1; }, 100, kernel_class::fmm_multipole);
+    auto f = lease->launch(1, [&](std::size_t) { ran = 1; }, 100,
+                           kernel_class::fmm_multipole);
     f.get();
     EXPECT_EQ(ran.load(), 1);
     EXPECT_EQ(dev.kernels_executed(), 1u);
 }
 
 TEST(Device, StreamReleasedAfterCompletion) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     {
         auto lease = dev.try_acquire_stream();
         ASSERT_TRUE(lease.has_value());
         EXPECT_EQ(dev.streams_in_use(), 1u);
-        auto f = lease->launch([] {}, 1, kernel_class::other);
+        auto f = lease->launch(1, [](std::size_t) {}, 1, kernel_class::other);
         f.get();
     }
     // After completion the stream count must return to zero (release happens
@@ -65,7 +67,7 @@ TEST(Device, StreamReleasedAfterCompletion) {
 }
 
 TEST(Device, UnusedLeaseReleasesImmediately) {
-    gpu::device dev(gpu::p100(), 1);
+    gpu::device dev(gpu::p100());
     {
         auto lease = dev.try_acquire_stream();
         ASSERT_TRUE(lease.has_value());
@@ -79,7 +81,7 @@ TEST(Device, AllStreamsBusyYieldsNullopt) {
     // instead (§5.1).
     gpu::device_spec spec = gpu::p100();
     spec.max_streams = 4;
-    gpu::device dev(spec, 1);
+    gpu::device dev(spec);
     std::vector<gpu::stream_lease> held;
     for (unsigned i = 0; i < 4; ++i) {
         auto l = dev.try_acquire_stream();
@@ -93,12 +95,13 @@ TEST(Device, AllStreamsBusyYieldsNullopt) {
 
 TEST(Device, FlopAccountingPerSite) {
     flop_reset();
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     std::vector<octo::rt::future<void>> fs;
     for (int i = 0; i < 10; ++i) {
         auto lease = dev.try_acquire_stream();
         ASSERT_TRUE(lease.has_value());
-        fs.push_back(lease->launch([] {}, 455, kernel_class::fmm_multipole));
+        fs.push_back(lease->launch(1, [](std::size_t) {}, 455,
+                                    kernel_class::fmm_multipole));
     }
     for (auto& f : fs) f.get();
     const auto s = flop_snapshot(kernel_class::fmm_multipole);
@@ -109,14 +112,14 @@ TEST(Device, FlopAccountingPerSite) {
 }
 
 TEST(Device, ManyConcurrentKernelsAllComplete) {
-    gpu::device dev(gpu::p100(), 4);
+    gpu::device dev(gpu::p100());
     std::atomic<int> done{0};
     std::vector<octo::rt::future<void>> fs;
     int cpu_fallbacks = 0;
     for (int i = 0; i < 500; ++i) {
         if (auto lease = dev.try_acquire_stream()) {
-            fs.push_back(lease->launch([&] { done.fetch_add(1); }, 1,
-                                       kernel_class::other));
+            fs.push_back(lease->launch(1, [&](std::size_t) { done.fetch_add(1); },
+                                       1, kernel_class::other));
         } else {
             // CPU fallback path, as in the paper.
             done.fetch_add(1);
@@ -136,7 +139,7 @@ TEST(Device, InjectedStreamFailureFallsBackToCpu) {
     cfg.seed = 3;
     cfg.gpu_stream_fail_prob = 1.0;
     support::fault_injector inj(cfg);
-    gpu::device dev(gpu::p100(), 1);
+    gpu::device dev(gpu::p100());
     const auto before =
         rt::apex_registry::instance().counter("gpu.stream_fallbacks");
     {
@@ -153,13 +156,53 @@ TEST(Device, InjectedStreamFailureFallsBackToCpu) {
 }
 
 TEST(Device, ContinuationChainsOffKernel) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     auto lease = dev.try_acquire_stream();
     ASSERT_TRUE(lease.has_value());
     std::atomic<int> order{0};
-    auto f = lease->launch([&] { order = 1; }, 1, kernel_class::other)
+    auto f = lease->launch(1, [&](std::size_t) { order = 1; }, 1,
+                           kernel_class::other)
                  .then([&](octo::rt::future<void>) { return order.load() + 10; });
     EXPECT_EQ(f.get(), 11);
+}
+
+TEST(Device, MultiBlockLaunchRunsEveryBlockOnceAndCountsOneKernel) {
+    flop_reset();
+    gpu::device dev(gpu::p100());
+    constexpr std::size_t n = 64;
+    std::vector<std::atomic<int>> hits(n);
+    auto lease = dev.try_acquire_stream();
+    ASSERT_TRUE(lease.has_value());
+    lease->launch(n, [&](std::size_t i) { hits[i].fetch_add(1); }, 640,
+                  kernel_class::fmm_monopole)
+        .get();
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    EXPECT_EQ(dev.kernels_executed(), 1u);
+    EXPECT_EQ(dev.streams_in_use(), 0u); // released before the future fired
+    const auto s = flop_snapshot(kernel_class::fmm_monopole);
+    EXPECT_EQ(s.gpu_launches, 1u);
+    EXPECT_EQ(s.gpu_flops, 640u);
+}
+
+TEST(Device, DestroyWaitsForOutstandingLaunch) {
+    // The launch future is dropped and the device destroyed while the block
+    // still runs: the destructor must wait for it, because the block's
+    // completion releases the stream on the device (a use-after-free the
+    // asan-ubsan preset would report otherwise).
+    std::atomic<bool> finished{false};
+    {
+        gpu::device dev(gpu::p100());
+        auto lease = dev.try_acquire_stream();
+        ASSERT_TRUE(lease.has_value());
+        rt::detach(lease->launch(
+            1,
+            [&](std::size_t) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                finished.store(true);
+            },
+            1, kernel_class::other));
+    }
+    EXPECT_TRUE(finished.load());
 }
 
 // ---- aggregation executor ---------------------------------------------------
@@ -174,7 +217,7 @@ gpu::work_item counting_item(std::atomic<int>& ran, kernel_class kc,
 }
 
 TEST(Aggregator, SizeThresholdFusesBatchIntoOneLaunch) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     gpu::aggregator agg(dev, {.max_batch = 8, .flush_after_us = 1e6});
     std::atomic<int> ran{0};
     std::vector<rt::future<void>> fs;
@@ -196,7 +239,7 @@ TEST(Aggregator, SizeThresholdFusesBatchIntoOneLaunch) {
 }
 
 TEST(Aggregator, TimeoutFlushesPartialBatch) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     gpu::aggregator agg(dev, {.max_batch = 64, .flush_after_us = 200.0});
     std::atomic<int> ran{0};
     auto f = agg.submit(counting_item(ran, kernel_class::fmm_monopole));
@@ -209,7 +252,7 @@ TEST(Aggregator, TimeoutFlushesPartialBatch) {
 }
 
 TEST(Aggregator, EveryItemCompletesExactlyOnce) {
-    gpu::device dev(gpu::p100(), 4);
+    gpu::device dev(gpu::p100());
     // A practically-infinite flush age keeps the background flusher out of
     // the picture: under TSan the submitting thread can be slowed enough
     // that a short timeout flushes singleton batches, and max_batch_seen
@@ -251,7 +294,7 @@ TEST(Aggregator, InjectedStreamFaultRejectsSubmitForCpuFallback) {
     cfg.seed = 3;
     cfg.gpu_stream_fail_prob = 1.0;
     support::fault_injector inj(cfg);
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     gpu::aggregator agg(dev, {.max_batch = 4, .flush_after_us = 50.0});
     std::atomic<int> ran{0};
     const auto before =
@@ -279,7 +322,7 @@ TEST(Aggregator, InjectedStreamFaultRejectsSubmitForCpuFallback) {
 }
 
 TEST(Aggregator, SaturationRejectsForCpuFallback) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     gpu::aggregator agg(dev, {.max_batch = 4,
                               .flush_after_us = 1e6,
                               .saturation_items = 3});
@@ -301,7 +344,7 @@ TEST(Aggregator, SaturationRejectsForCpuFallback) {
 }
 
 TEST(DeviceGroup, BatchesSpreadAcrossDevices) {
-    gpu::device_group group(gpu::p100(), 3, 2);
+    gpu::device_group group(gpu::p100(), 3);
     gpu::aggregator agg(group, {.max_batch = 4, .flush_after_us = 1e6});
     std::atomic<int> ran{0};
     std::vector<rt::future<void>> fs;
@@ -323,7 +366,7 @@ TEST(DeviceGroup, BatchesSpreadAcrossDevices) {
 }
 
 TEST(Aggregator, DrainCompletesEverythingPending) {
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
     gpu::aggregator agg(dev, {.max_batch = 64, .flush_after_us = 1e6});
     std::atomic<int> ran{0};
     std::vector<rt::future<void>> fs;
@@ -336,6 +379,72 @@ TEST(Aggregator, DrainCompletesEverythingPending) {
     agg.drain();
     EXPECT_EQ(ran.load(), 10);
     for (auto& f : fs) f.get(); // all ready immediately
+}
+
+TEST(Aggregator, BatchItemsRunConcurrently) {
+    // The items of one fused batch are independent device blocks on the
+    // host pool. Two items that wait for each other can only both finish if
+    // they run at the same time; the global pool has at least two workers.
+    gpu::device dev(gpu::p100());
+    gpu::aggregator agg(dev, {.max_batch = 2, .flush_after_us = 1e6});
+    std::atomic<int> arrived{0};
+    std::atomic<int> met{0};
+    const auto rendezvous = [&](const double*) {
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        if (arrived.load() == 2) met.fetch_add(1);
+    };
+    std::vector<rt::future<void>> fs;
+    for (int i = 0; i < 2; ++i) {
+        gpu::work_item item;
+        item.kc = kernel_class::fmm_multipole;
+        item.kernel = rendezvous;
+        auto f = agg.submit(std::move(item));
+        ASSERT_TRUE(f.has_value());
+        fs.push_back(std::move(*f));
+    }
+    for (auto& f : fs) f.get();
+    EXPECT_EQ(met.load(), 2);
+    EXPECT_EQ(agg.stats().fused_launches, 1u); // both items in one launch
+}
+
+TEST(Aggregator, DrainFromPoolWorkerCompletes) {
+    // Every global-pool worker calls drain() at once. The fused batch runs
+    // on that same pool, so drain() must execute pending tasks while it
+    // waits; otherwise no worker is left to run the batch and this hangs.
+    gpu::device dev(gpu::p100());
+    gpu::aggregator agg(dev, {.max_batch = 1024, .flush_after_us = 1e6});
+    rt::thread_pool& pool = rt::thread_pool::global();
+    const unsigned workers = pool.size();
+    std::atomic<int> ran{0};
+    std::atomic<unsigned> inside{0};
+    std::vector<rt::future<void>> tasks;
+    for (unsigned w = 0; w < workers; ++w) {
+        tasks.push_back(rt::async(pool, [&] {
+            for (int i = 0; i < 3; ++i) {
+                EXPECT_TRUE(
+                    agg.submit(counting_item(ran, kernel_class::hydro)).has_value());
+            }
+            // Hold every worker here before anyone drains (bounded, so a
+            // busy pool cannot hang the test).
+            inside.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (inside.load() < workers &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+            }
+            agg.drain();
+        }));
+    }
+    for (auto& t : tasks) t.get();
+    EXPECT_EQ(inside.load(), workers);
+    EXPECT_EQ(ran.load(), static_cast<int>(3 * workers));
+    EXPECT_EQ(agg.stats().aggregated_items, 3u * workers);
 }
 
 // ---- aggregated FMM solve ---------------------------------------------------
@@ -363,49 +472,56 @@ void fill_blobs(amr::tree& t) {
     }
 }
 
-TEST(Aggregator, AggregatedFmmSolveBitIdenticalToScalarCpu) {
-    // The executor's kernels are the scalar double kernel templates — the
-    // same code the scalar CPU path runs, in the same per-node order — so
-    // the aggregated solve must be BIT-identical to the scalar CPU solve
-    // (not merely close): EXPECT_EQ on every output, no tolerance.
+TEST(Aggregator, AggregatedFmmSolveBitIdenticalToCpu) {
+    // An offloaded node runs the solver's own launch geometry (SIMD width,
+    // tile) as one device block — the same compiled kernels the CPU path
+    // runs, in the same per-node order — so the aggregated solve must be
+    // BIT-identical to a CPU solve with the same options, for the
+    // vectorized default and the scalar configuration alike.
     amr::tree t(unit_root());
     t.refine(amr::root_key);
     fill_blobs(t);
 
-    gpu::device_group group(gpu::p100(), 2, 2);
-    // The solver leans on the age-flusher for its trailing partial batch, so
-    // the age cannot be disabled outright here — but at the 100us default a
-    // sanitizer-slowed submit gap flushes every item alone and no fused batch
-    // ever forms. 20ms dwarfs any instrumented gap while still bounding the
-    // trailing-batch stall.
-    gpu::aggregator agg(group, {.max_batch = 8, .flush_after_us = 20000.0});
-    fmm::solver gs({.conserve = fmm::am_mode::spin_deposit,
-                    .aggregator = &agg});
-    gs.solve(t);
-    fmm::solver cs({.conserve = fmm::am_mode::spin_deposit,
-                    .vectorized = false});
-    cs.solve(t);
+    for (const bool vectorized : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "vectorized " << vectorized);
+        gpu::device_group group(gpu::p100(), 2);
+        // The solver leans on the age-flusher for its trailing partial
+        // batch, so the age cannot be disabled outright here — but at the
+        // 100us default a sanitizer-slowed submit gap flushes every item
+        // alone and no fused batch ever forms. 20ms dwarfs any instrumented
+        // gap while still bounding the trailing-batch stall.
+        gpu::aggregator agg(group, {.max_batch = 8, .flush_after_us = 20000.0});
+        fmm::solver gs({.conserve = fmm::am_mode::spin_deposit,
+                        .vectorized = vectorized,
+                        .aggregator = &agg});
+        gs.solve(t);
+        fmm::solver cs({.conserve = fmm::am_mode::spin_deposit,
+                        .vectorized = vectorized});
+        cs.solve(t);
 
-    for (const auto k : t.leaves_sfc()) {
-        const auto& a = gs.gravity(k);
-        const auto& b = cs.gravity(k);
-        for (int c = 0; c < amr::INX3; ++c) {
-            EXPECT_EQ(a.gx[c], b.gx[c]) << "node " << k << " cell " << c;
-            EXPECT_EQ(a.gy[c], b.gy[c]);
-            EXPECT_EQ(a.gz[c], b.gz[c]);
-            EXPECT_EQ(a.phi[c], b.phi[c]);
+        for (const auto k : t.leaves_sfc()) {
+            const auto& a = gs.gravity(k);
+            const auto& b = cs.gravity(k);
+            for (int c = 0; c < amr::INX3; ++c) {
+                EXPECT_EQ(a.gx[c], b.gx[c]) << "node " << k << " cell " << c;
+                EXPECT_EQ(a.gy[c], b.gy[c]);
+                EXPECT_EQ(a.gz[c], b.gz[c]);
+                EXPECT_EQ(a.phi[c], b.phi[c]);
+                for (int d = 0; d < 3; ++d) EXPECT_EQ(a.tq[d][c], b.tq[d][c]);
+            }
         }
+        // The solve genuinely went through fused launches, spread over
+        // devices.
+        const auto s = agg.stats();
+        EXPECT_GT(s.fused_launches, 0u);
+        EXPECT_GT(s.max_batch_seen, 1u);
+        EXPECT_EQ(s.rejected, 0u);
+        std::uint64_t on_device = 0;
+        for (std::size_t d = 0; d < group.size(); ++d) {
+            on_device += group.at(d).kernels_executed();
+        }
+        EXPECT_GT(on_device, 0u);
     }
-    // The solve genuinely went through fused launches, spread over devices.
-    const auto s = agg.stats();
-    EXPECT_GT(s.fused_launches, 0u);
-    EXPECT_GT(s.max_batch_seen, 1u);
-    EXPECT_EQ(s.rejected, 0u);
-    std::uint64_t on_device = 0;
-    for (std::size_t d = 0; d < group.size(); ++d) {
-        on_device += group.at(d).kernels_executed();
-    }
-    EXPECT_GT(on_device, 0u);
 }
 
 TEST(Aggregator, FmmSolveFallsBackUnderInjectedFaults) {
@@ -418,7 +534,7 @@ TEST(Aggregator, FmmSolveFallsBackUnderInjectedFaults) {
     cfg.seed = 11;
     cfg.gpu_stream_fail_prob = 1.0;
     support::fault_injector inj(cfg);
-    gpu::device dev(gpu::p100(), 2);
+    gpu::device dev(gpu::p100());
 
     fmm::solver cs({.conserve = fmm::am_mode::spin_deposit,
                     .vectorized = false});

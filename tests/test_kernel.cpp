@@ -1,9 +1,8 @@
-// Tests for the portable kernel layer (ISSUE 7): every hot kernel has ONE
-// templated body, so the backends must agree from that single source —
-// scalar vs SIMD to 1e-14 relative (different summation widths), scalar vs
-// the modeled-GPU policy bit for bit (both bind T = double, so they call the
-// same compiled function), and any tile bit-identical to untiled at fixed
-// width (tiling only reorders the block boundaries, never the arithmetic).
+// Tests for the portable kernel layer: every hot kernel has ONE templated
+// body, so the backends must agree from that single source — scalar vs SIMD
+// to 1e-14 relative (different summation widths), and any tile
+// bit-identical to untiled at fixed width (tiling only reorders the block
+// boundaries, never the arithmetic).
 // Plus the autotune cache: cold sweep -> persist -> warm hit -> disk hit,
 // observable through the APEX counters.
 
@@ -63,13 +62,6 @@ void compare_gravity(const node_gravity& a, const node_gravity& b, bool exact) {
     for (int t = 0; t < 3; ++t) cmp(a.tq[t], b.tq[t], "tq");
 }
 
-void compare_moments(const node_moments& a, const node_moments& b, bool exact) {
-    auto cmp = exact ? expect_equal : expect_close;
-    cmp(a.m, b.m, "m");
-    for (int c = 0; c < 3; ++c) cmp(a.com[c], b.com[c], "com");
-    for (int c = 0; c < 6; ++c) cmp(a.q[c], b.q[c], "q");
-}
-
 // ---- fixtures (the bench_kernels recipe) -----------------------------------
 
 node_moments make_moments(bool with_quadrupoles, std::uint64_t seed = 7) {
@@ -127,16 +119,6 @@ TEST(KernelFmm, MonopoleScalarVsSimdWithinRounding) {
     compare_gravity(ref, w8, /*exact=*/false);
 }
 
-TEST(KernelFmm, MonopoleScalarVsGpuBitIdentical) {
-    const auto mom = make_moments(false);
-    const auto buf = make_buffer(false);
-    const auto opt = stencil_opt(false);
-    node_gravity s, g;
-    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(mom, buf, opt, 0, s);
-    octo::kernel::fmm_monopole<octo::kernel::exec::gpu>(mom, buf, opt, 0, g);
-    compare_gravity(s, g, /*exact=*/true);
-}
-
 TEST(KernelFmm, MonopoleTileBitIdenticalAtFixedWidth) {
     const auto mom = make_moments(false);
     const auto buf = make_buffer(false);
@@ -169,18 +151,12 @@ TEST(KernelFmm, MultipoleScalarVsSimdWithinRounding) {
     }
 }
 
-TEST(KernelFmm, MultipoleScalarVsGpuBitIdenticalAndTileInvariant) {
+TEST(KernelFmm, MultipoleTileBitIdenticalAtFixedWidth) {
     const auto mom = make_moments(true);
     aligned_vector<double> invm(INX3);
     for (int i = 0; i < INX3; ++i) invm[i] = 1.0 / mom.m[i];
     const auto buf = make_buffer(true);
     const auto opt = stencil_opt(true);
-    node_gravity s, g;
-    octo::kernel::fmm_multipole<octo::kernel::exec::scalar>(mom, invm, buf, opt,
-                                                            0, s);
-    octo::kernel::fmm_multipole<octo::kernel::exec::gpu>(mom, invm, buf, opt, 0,
-                                                         g);
-    compare_gravity(s, g, /*exact=*/true);
     for (const int tile : {8, 32}) {
         node_gravity t8;
         octo::kernel::fmm_multipole<octo::kernel::exec::simd<8>>(mom, invm, buf,
@@ -189,63 +165,6 @@ TEST(KernelFmm, MultipoleScalarVsGpuBitIdenticalAndTileInvariant) {
         octo::kernel::fmm_multipole<octo::kernel::exec::simd<8>>(mom, invm, buf,
                                                                  opt, 0, u8);
         compare_gravity(u8, t8, /*exact=*/true);
-    }
-}
-
-// ---- FMM tree-transfer kernels ---------------------------------------------
-
-TEST(KernelFmm, M2mScalarVsGpuBitIdentical) {
-    std::vector<node_moments> kids;
-    kids.reserve(8);
-    for (int c = 0; c < 8; ++c) {
-        kids.push_back(make_moments(true, 100 + static_cast<std::uint64_t>(c)));
-    }
-    const node_moments* children[8];
-    for (int c = 0; c < 8; ++c) children[c] = &kids[static_cast<std::size_t>(c)];
-    amr::box_geometry geom;
-    geom.origin = {-1.0, -1.0, -1.0};
-    geom.dx = 2.0 / INX;
-
-    node_moments ms, mg;
-    aligned_vector<double> is(INX3), ig(INX3);
-    octo::kernel::fmm_m2m<octo::kernel::exec::scalar>(children, geom, ms, is);
-    octo::kernel::fmm_m2m<octo::kernel::exec::gpu>(children, geom, mg, ig);
-    compare_moments(ms, mg, /*exact=*/true);
-    expect_equal(is, ig, "invm");
-}
-
-TEST(KernelFmm, L2lScalarVsGpuBitIdentical) {
-    node_gravity parentL;
-    xoshiro256 rng(21);
-    for (auto& l : parentL.L) {
-        for (auto& v : l) v = rng.uniform(-1, 1);
-    }
-    for (auto& q : parentL.tq) {
-        for (auto& v : q) v = rng.uniform(-1e-3, 1e-3);
-    }
-    const node_moments pm = make_moments(true, 31);
-    std::vector<node_moments> kids;
-    kids.reserve(8);
-    for (int c = 0; c < 8; ++c) {
-        kids.push_back(make_moments(true, 200 + static_cast<std::uint64_t>(c)));
-    }
-    const node_moments* childM[8];
-    for (int c = 0; c < 8; ++c) childM[c] = &kids[static_cast<std::size_t>(c)];
-
-    std::vector<node_gravity> outS(8), outG(8);
-    node_gravity* lwS[8];
-    node_gravity* lwG[8];
-    for (int c = 0; c < 8; ++c) {
-        lwS[c] = &outS[static_cast<std::size_t>(c)];
-        lwG[c] = &outG[static_cast<std::size_t>(c)];
-    }
-    octo::kernel::fmm_l2l<octo::kernel::exec::scalar>(parentL, pm, childM, lwS,
-                                                      am_mode::spin_deposit);
-    octo::kernel::fmm_l2l<octo::kernel::exec::gpu>(parentL, pm, childM, lwG,
-                                                   am_mode::spin_deposit);
-    for (int c = 0; c < 8; ++c) {
-        compare_gravity(outS[static_cast<std::size_t>(c)],
-                        outG[static_cast<std::size_t>(c)], /*exact=*/true);
     }
 }
 
@@ -327,12 +246,6 @@ TEST(KernelHydro, LeafFluxesScalarVsSimdWithinRounding) {
     }
 }
 
-TEST(KernelHydro, LeafFluxesScalarVsGpuBitIdentical) {
-    const auto s = run_fluxes({kernel::backend_kind::scalar, 1, 0});
-    const auto g = run_fluxes({kernel::backend_kind::gpu, 1, 0});
-    compare_fluxes(s, g, /*exact=*/true);
-}
-
 TEST(KernelHydro, LeafFluxesTileBitIdenticalAtFixedWidth) {
     const auto untiled = run_fluxes({kernel::backend_kind::simd, 8, 0});
     for (const int tile : {8, 16, 32}) {
@@ -346,9 +259,6 @@ TEST(KernelHydro, WaveSpeedBackendsAgree) {
     const double s =
         octo::kernel::run_wave_speed({kernel::backend_kind::scalar, 1, 0},
                                      test_leaf(), eos);
-    const double g = octo::kernel::run_wave_speed(
-        {kernel::backend_kind::gpu, 1, 0}, test_leaf(), eos);
-    EXPECT_EQ(s, g);
     for (const int w : {2, 4, 8}) {
         const double v = octo::kernel::run_wave_speed(
             {kernel::backend_kind::simd, w, 0}, test_leaf(), eos);
@@ -378,7 +288,7 @@ void compare_subgrids(const amr::subgrid& a, const amr::subgrid& b, bool exact) 
                 }
 }
 
-TEST(KernelHydro, UpdateKernelsScalarVsGpuBitIdentical) {
+TEST(KernelHydro, UpdateKernelsScalarVsSimdWithinRounding) {
     using namespace octo::amr;
     const phys::ideal_gas_eos eos;
     const auto fx = run_fluxes({kernel::backend_kind::scalar, 1, 0});
@@ -404,8 +314,6 @@ TEST(KernelHydro, UpdateKernelsScalarVsGpuBitIdentical) {
         return g;
     };
     const auto s = apply({kernel::backend_kind::scalar, 1, 0});
-    const auto g = apply({kernel::backend_kind::gpu, 1, 0});
-    compare_subgrids(s, g, /*exact=*/true);
     for (const int w : {2, 4, 8}) {
         const auto v = apply({kernel::backend_kind::simd, w, 0});
         compare_subgrids(s, v, /*exact=*/false);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -265,26 +268,61 @@ TEST(Simd, HorizontalSum) {
     EXPECT_DOUBLE_EQ(octo::simd::hsum(dpack::load(in)), expect);
 }
 
-TEST(Simd, RsqrtMatchesScalar) {
-    alignas(64) double in[dpack::size()];
+/// Inputs for the packed-sqrt checks: seeded random magnitudes plus the edge
+/// cases 0, -0, the smallest subnormal, a mid subnormal, 1e300 and +inf.
+std::vector<double> sqrt_inputs() {
+    std::vector<double> v = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             1e300,
+                             std::numeric_limits<double>::infinity()};
     octo::xoshiro256 rng(9);
-    for (std::size_t i = 0; i < dpack::size(); ++i) in[i] = rng.uniform(0.1, 100.0);
-    const auto r = octo::simd::rsqrt(dpack::load(in));
-    for (std::size_t i = 0; i < dpack::size(); ++i) {
-        EXPECT_DOUBLE_EQ(r[i], octo::simd::rsqrt(in[i]));
+    for (int i = 0; i < 250; ++i) v.push_back(std::pow(10.0, rng.uniform(-300, 300)));
+    while (v.size() % 8 != 0) v.push_back(rng.uniform(0.1, 100.0));
+    return v;
+}
+
+std::uint64_t bits(double d) {
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+}
+
+/// simd::sqrt (or simd::rsqrt) at width W must equal the scalar function
+/// bit for bit: packed IEEE sqrt and division are correctly rounded, like
+/// the scalar ones.
+template <std::size_t W>
+void expect_packed_sqrt_bitwise(bool reciprocal) {
+    using P = octo::simd::pack<double, W>;
+    const auto in = sqrt_inputs();
+    for (std::size_t base = 0; base < in.size(); base += W) {
+        const P x = P::load(in.data() + base);
+        const P r = reciprocal ? octo::simd::rsqrt(x) : octo::simd::sqrt(x);
+        for (std::size_t l = 0; l < W; ++l) {
+            const double a = in[base + l];
+            const double want = reciprocal ? octo::simd::rsqrt(a) : std::sqrt(a);
+            EXPECT_EQ(bits(r[l]), bits(want)) << "W=" << W << " x=" << a;
+        }
     }
+}
+
+TEST(Simd, RsqrtMatchesScalar) {
+    expect_packed_sqrt_bitwise<2>(true);
+    expect_packed_sqrt_bitwise<4>(true);
+    expect_packed_sqrt_bitwise<8>(true);
+}
+
+TEST(Simd, SqrtLaneWise) {
+    expect_packed_sqrt_bitwise<2>(false);
+    expect_packed_sqrt_bitwise<4>(false);
+    expect_packed_sqrt_bitwise<8>(false);
 }
 
 TEST(Simd, MinMax) {
     dpack a(1.0), b(2.0);
     EXPECT_DOUBLE_EQ(octo::simd::max(a, b)[0], 2.0);
     EXPECT_DOUBLE_EQ(octo::simd::min(a, b)[0], 1.0);
-}
-
-TEST(Simd, SqrtLaneWise) {
-    dpack a(16.0);
-    const auto r = octo::simd::sqrt(a);
-    for (std::size_t i = 0; i < dpack::size(); ++i) EXPECT_DOUBLE_EQ(r[i], 4.0);
 }
 
 // The kernel-template trick from paper §5.1: the same function template must
