@@ -6,7 +6,6 @@
 
 #include "amr/prolong.hpp"
 #include "io/checkpoint.hpp"
-#include "kernel/autotune.hpp"
 #include "runtime/apex.hpp"
 #include "support/assert.hpp"
 
@@ -14,39 +13,14 @@ namespace octo::core {
 
 using namespace octo::amr;
 
-namespace {
-
-/// Options for the simulation-owned aggregator: the fixed defaults (batch
-/// 16, flush 100us), or the tuned fmm.same_level batch and age-flush timeout
-/// when autotuning and the cache has an entry for this machine.
-gpu::aggregator_options sim_agg_options(const sim_options& opt) {
-    gpu::aggregator_options ao;
-    ao.max_batch = opt.aggregate ? 16u : 1u;
-    if (opt.autotune) {
-        if (auto tc = kernel::global_autotune().lookup(
-                opt.machine, "fmm.same_level", kernel::backend_kind::gpu)) {
-            if (opt.aggregate) ao.max_batch = std::max(1u, tc->gpu_batch);
-            ao.flush_after_us = tc->flush_us;
-        }
-    }
-    return ao;
-}
-
-} // namespace
-
 simulation::simulation(tree t, sim_options opt)
     : tree_(std::move(t)),
       opt_(opt),
-      own_agg_(opt.aggregator == nullptr && opt.device != nullptr
-                   ? std::make_unique<gpu::aggregator>(*opt.device,
-                                                       sim_agg_options(opt))
-                   : nullptr),
-      agg_(opt.aggregator != nullptr ? opt.aggregator : own_agg_.get()),
       gravity_({.conserve = opt.conserve,
                 .vectorized = opt.vectorized,
                 .device = opt.device,
                 .pool = opt.pool,
-                .aggregator = agg_,
+                .aggregator = opt.aggregator,
                 .autotune = opt.autotune,
                 .machine = opt.machine}),
       lb_cost_(opt.lb.cost) {
@@ -107,7 +81,8 @@ double simulation::advance() {
     h.cfl = opt_.cfl;
     h.omega = opt_.omega;
     h.pool = opt_.pool;
-    h.aggregator = agg_;
+    h.vectorized = opt_.vectorized;
+    h.aggregator = gravity_.executor();
     h.autotune = opt_.autotune;
     h.machine = opt_.machine;
     if (opt_.self_gravity) {

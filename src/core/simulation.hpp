@@ -6,7 +6,6 @@
 // kernels, and density-based regridding.
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,14 +42,13 @@ struct sim_options {
     double cfl = 0.4;
     bool self_gravity = true;
     fmm::am_mode conserve = fmm::am_mode::spin_deposit;
-    gpu::device* device = nullptr; ///< offload FMM kernels when set (§5.1)
+    gpu::device* device = nullptr; ///< offload FMM + hydro kernels (§5.1)
     /// External aggregation executor (may span a device_group). When null
-    /// and `device` is set, the simulation owns a private one; FMM and the
-    /// hydro flux sweeps share it — one launch point for all offload.
+    /// and `device` is set, the gravity solver owns a private one; FMM and
+    /// the hydro flux sweeps share it — one launch point for all offload.
     gpu::aggregator* aggregator = nullptr;
-    bool aggregate = true;         ///< false: one-stream-per-kernel A/B mode
     dvec3 omega{0, 0, 0};          ///< rotating-frame angular velocity
-    bool vectorized = true;
+    bool vectorized = true;        ///< SIMD FMM + hydro kernels; false = width 1
     rt::thread_pool* pool = nullptr;
     /// Autotuned launch geometry (kernel/autotune.hpp): hydro sweeps its
     /// width/tile at first use; FMM and the aggregation batch are lookup-only
@@ -182,10 +180,6 @@ class simulation {
 
     amr::tree tree_;
     sim_options opt_;
-    /// Declared before gravity_: the solver (and in-flight hydro items)
-    /// reference it, so it must outlive them — destruction drains batches.
-    std::unique_ptr<gpu::aggregator> own_agg_;
-    gpu::aggregator* agg_ = nullptr;
     fmm::solver gravity_;
     double time_ = 0;
     long steps_ = 0;

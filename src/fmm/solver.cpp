@@ -23,16 +23,16 @@ using amr::tree;
 
 solver::solver(options o)
     : opt_(o), pool_(o.pool != nullptr ? o.pool : &rt::thread_pool::global()) {
-    // CPU launch geometry for the same-level kernels. Lookup-only autotuning:
-    // a tuned entry (seeded by bench_kernels or a prior run) overrides the
-    // default width/tile; a cache miss keeps the defaults.
+    // Launch geometry: SIMD width/tile of the same-level kernels and the
+    // private executor's fused-batch size and flush timeout. Lookup-only
+    // autotuning: a tuned entry (seeded by bench_kernels or a prior run)
+    // overrides the defaults; a cache miss keeps them.
     const auto base = opt_.vectorized
                           ? kernel::exec_config{}
                           : kernel::exec_config{kernel::backend_kind::scalar, 1, 0};
     mono_cfg_ = base;
     multi_cfg_ = base;
-    unsigned tuned_batch = opt_.gpu_batch;
-    double tuned_flush_us = gpu::aggregator_options{}.flush_after_us;
+    gpu::aggregator_options ao;
     if (opt_.autotune) {
         auto& cache = kernel::global_autotune();
         if (opt_.vectorized) {
@@ -47,21 +47,16 @@ solver::solver(options o)
         }
         if (auto tc = cache.lookup(opt_.machine, "fmm.same_level",
                                    kernel::backend_kind::gpu)) {
-            tuned_batch = tc->gpu_batch;
-            tuned_flush_us = tc->flush_us;
+            ao.max_batch = std::max(1u, tc->gpu_batch);
+            ao.flush_after_us = tc->flush_us;
         }
     }
     // One launch point for all offload (the Kokkos/HPX lesson of
     // arXiv:2210.06439): an externally provided executor wins; otherwise a
-    // device implies a private single-device executor. aggregate=false keeps
-    // the executor but degenerates batches to a single item — the paper's
-    // original one-stream-per-kernel policy, preserved for A/B measurement.
+    // device implies a private single-device executor.
     if (opt_.aggregator != nullptr) {
         agg_ = opt_.aggregator;
     } else if (opt_.device != nullptr) {
-        gpu::aggregator_options ao;
-        ao.max_batch = opt_.aggregate ? std::max(1u, tuned_batch) : 1u;
-        ao.flush_after_us = tuned_flush_us;
         own_agg_ = std::make_unique<gpu::aggregator>(*opt_.device, ao);
         agg_ = own_agg_.get();
     }

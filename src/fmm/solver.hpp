@@ -38,11 +38,6 @@ struct solver_options {
     /// and `device` is set, the solver owns a private single-device
     /// aggregator — all offload goes through one launch point either way.
     gpu::aggregator* aggregator = nullptr;
-    /// Batch per-node kernels into fused launches (arXiv:2210.06438). When
-    /// false the private executor degenerates to max_batch = 1, reproducing
-    /// the paper's original one-stream-per-node policy for A/B runs.
-    bool aggregate = true;
-    unsigned gpu_batch = 16;          ///< fused-launch size threshold
     /// Consult the autotune cache (kernel/autotune.hpp) for tuned launch
     /// geometry — SIMD width/tile for the CPU kernels, fused-batch size for
     /// the GPU path — under the given machine key. Lookup-only: the solver
@@ -68,6 +63,10 @@ class solver {
 
     [[nodiscard]] const node_gravity& gravity(amr::node_key k) const;
     [[nodiscard]] const node_moments& moments(amr::node_key k) const;
+
+    /// The offload launch point (null = CPU only): the external aggregator
+    /// or the solver's own. The coupled driver hands it to the hydro sweeps.
+    [[nodiscard]] gpu::aggregator* executor() const { return agg_; }
 
     // ---- diagnostics (used by tests and the conservation ledger) ----------
 

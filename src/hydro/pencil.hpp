@@ -4,16 +4,15 @@
 // datastructure", which together with Vc vectorization accounts for the
 // 1.90–2.22x hydro speedup of the ablation study).
 //
-// The scalar path reconstructs one (axis, b, c) pencil at a time with the
-// cell state held as an array-of-structs. Here the 64 transverse pencils of
-// one sweep axis are processed together: every quantity becomes a plane of
-// 64 lanes (the transverse cells) per pencil position, and the PPM limiter,
-// the dual-energy switch and the Kurganov–Tadmor flux run on
-// `simd::pack<double, W>` with masked selects instead of branches — the
-// along-axis data dependencies of the reconstruction never cross lanes, so
-// the kernel needs no shuffles. Spin (the Després–Labourasse angular
-// momentum fields) is reconstructed and fluxed exactly like the scalar path,
-// so the L ledger survives vectorization.
+// The 64 transverse pencils of one sweep axis are processed together: every
+// quantity becomes a plane of 64 lanes (the transverse cells) per pencil
+// position, and the PPM limiter, the dual-energy switch and the
+// Kurganov–Tadmor flux run on `simd::pack<double, W>` with masked selects
+// instead of branches — the along-axis data dependencies of the
+// reconstruction never cross lanes, so the kernel needs no shuffles. The
+// scalar path is the width-1 instantiation over the same layout. Spin (the
+// Després–Labourasse angular momentum fields) is reconstructed and fluxed
+// like every other variable, so the L ledger survives vectorization.
 
 #include "amr/subgrid.hpp"
 #include "hydro/state.hpp"
@@ -23,7 +22,7 @@
 
 namespace octo::hydro {
 
-/// Pencil geometry shared by the scalar and SIMD flux sweeps.
+/// Pencil geometry of the flux sweeps (every instantiation width).
 inline constexpr int pencil_len = amr::INX + 2 * amr::H_BW; ///< cells incl. ghosts
 inline constexpr int pencil_lanes = amr::INX * amr::INX;    ///< transverse pencils
 inline constexpr int recon_cells = amr::INX + 2;            ///< cells -1..INX
@@ -73,7 +72,7 @@ struct leaf_flux_soa {
     }
 };
 
-/// Recycled scratch of one SIMD flux sweep (all arrays fully overwritten
+/// Recycled scratch of one flux sweep (all arrays fully overwritten
 /// each call, so resize-without-clear out of the buffer recycler suffices).
 struct pencil_workspace {
     aligned_vector<double> u;     ///< [n_fields][pencil_len][lanes] conserved

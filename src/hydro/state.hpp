@@ -1,14 +1,13 @@
 #pragma once
-// Conserved/primitive state handling for the finite-volume hydro solver
-// (paper §4.2): mass density, momentum density, gas total energy, the
-// entropy tracer tau of the dual-energy formalism, spin angular momentum
-// density, and five passive scalars.
+// Conserved state of one cell of the finite-volume hydro solver (paper
+// §4.2): mass density, momentum density, gas total energy, the entropy
+// tracer tau of the dual-energy formalism, spin angular momentum density,
+// and five passive scalars — plus the density and tracer floors. Primitives
+// and fluxes are derived inside the portable kernels (kernel/hydro.hpp).
 
 #include <array>
 
 #include "amr/config.hpp"
-#include "physics/eos.hpp"
-#include "support/vec3.hpp"
 
 namespace octo::hydro {
 
@@ -16,25 +15,6 @@ using amr::n_fields;
 
 /// Full conserved state of one cell.
 using state = std::array<double, n_fields>;
-
-/// Primitive quantities derived from a conserved state.
-struct primitives {
-    double rho;
-    dvec3 v;
-    double p;         ///< gas pressure
-    double c;         ///< adiabatic sound speed
-    double internal;  ///< internal energy density actually used (dual energy)
-};
-
-/// Convert a conserved state to primitives using the dual-energy switch.
-primitives to_primitives(const state& u, const phys::ideal_gas_eos& eos);
-
-/// Physical flux of the conserved state along axis `a` (0=x,1=y,2=z), given
-/// the state's primitives.
-state physical_flux(const state& u, const primitives& pr, int a);
-
-/// Maximum signal speed along axis a (|v_a| + c).
-double max_wave_speed(const primitives& pr, int a);
 
 /// Density floor applied everywhere (vacuum regions of the scenario).
 inline constexpr double rho_floor = 1e-14;

@@ -43,25 +43,19 @@ void axis_cell(int axis, int p, int b, int c, int& i, int& j, int& k) {
 }
 
 /// Launch geometry of the portable hydro kernels (src/kernel) for these
-/// options: explicit simd_width wins, else use_simd selects the default
-/// pack width, else the width-1 (scalar) instantiation.
-kernel::exec_config exec_cfg(const step_options& opt) {
-    const int w = opt.simd_width > 0 ? opt.simd_width : (opt.use_simd ? W : 1);
-    return {w > 1 ? kernel::backend_kind::simd : kernel::backend_kind::scalar, w,
-            opt.lane_tile};
-}
+/// options, resolved once per step/cfl_timestep call (defined with the
+/// autotuning sweep below).
+kernel::exec_config resolve_exec(const step_options& opt);
 
 /// One leaf's flux sweep along `axis` through the portable kernel layer
-/// (gather + primitives + reconstruction + KT flux, at the width/tile the
-/// options select). Returns the max signal speed seen (diagnostic; dt comes
-/// from the CFL reduction).
-double compute_axis_fluxes(const subgrid& g, int axis, const step_options& opt,
-                           leaf_flux_soa& out) {
-    double ms = 0.0;
+/// (gather + primitives + reconstruction + KT flux, at the step's launch
+/// geometry).
+void compute_axis_fluxes(const subgrid& g, int axis,
+                         const kernel::exec_config& cfg,
+                         const step_options& opt, leaf_flux_soa& out) {
+    double ms = 0.0; // diagnostic only; dt comes from the CFL reduction
     pencil_workspace ws; // recycled
-    kernel::run_leaf_fluxes(exec_cfg(opt), g, axis, opt.eos, opt.use_ppm, ws,
-                            out, &ms);
-    return ms;
+    kernel::run_leaf_fluxes(cfg, g, axis, opt.eos, opt.use_ppm, ws, out, &ms);
 }
 
 // ---- reflux ----------------------------------------------------------------
@@ -275,7 +269,7 @@ void save_u0(const subgrid& g, aligned_vector<double>& v) {
 /// The full per-leaf update (flux divergence, reflux moments, sources, RK
 /// blend, dual-energy bookkeeping + floors).
 void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
-                 const step_options& opt,
+                 const kernel::exec_config& cfg, const step_options& opt,
                  const std::vector<const reflux_entry*>& refl,
                  const aligned_vector<double>* u0) {
     const bool need_sources =
@@ -284,7 +278,6 @@ void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
     aligned_vector<dvec3> old_s;
     if (need_sources) snapshot_sources(g, old_rho, old_s);
 
-    const kernel::exec_config cfg = exec_cfg(opt);
     kernel::run_flux_divergence(cfg, g, lf, dt);
     for (const reflux_entry* e : refl) apply_reflux_moments(g, *e, dt);
     if (need_sources) apply_sources(g, k, opt, dt, old_rho, old_s);
@@ -294,15 +287,10 @@ void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
     kernel::run_dual_energy(cfg, g, opt.eos);
 }
 
-// ---- CFL -------------------------------------------------------------------
-
-double leaf_max_wave_speed(const subgrid& g, const step_options& opt) {
-    return kernel::run_wave_speed(exec_cfg(opt), g, opt.eos);
-}
-
 } // namespace
 
 double cfl_timestep(tree& t, const step_options& opt) {
+    const kernel::exec_config cfg = resolve_exec(opt);
     fill_all_ghosts(t, opt.bc);
     rt::thread_pool& pool =
         opt.pool != nullptr ? *opt.pool : rt::thread_pool::global();
@@ -312,10 +300,11 @@ double cfl_timestep(tree& t, const step_options& opt) {
         std::vector<rt::future<void>> fs;
         fs.reserve(leaves.size());
         for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
-            fs.push_back(rt::async(pool, [&t, &opt, &speeds, &leaves, idx] {
-                speeds[idx] =
-                    leaf_max_wave_speed(*t.node(leaves[idx]).fields, opt);
-            }));
+            fs.push_back(
+                rt::async(pool, [&t, &opt, &speeds, &leaves, cfg, idx] {
+                    speeds[idx] = kernel::run_wave_speed(
+                        cfg, *t.node(leaves[idx]).fields, opt.eos);
+                }));
         }
         rt::apex_count("hydro.cfl_tasks", leaves.size());
         for (auto& f : fs) f.get();
@@ -367,7 +356,8 @@ const void* flux_region(const leaf_flux_soa* f, int axis) {
     return reinterpret_cast<const char*>(f) + 1 + axis;
 }
 
-double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
+double step_pipeline(tree& t, const step_options& opt,
+                     const kernel::exec_config& cfg, rt::thread_pool& pool) {
     // Serial prologue: plan acquisition (allocates refined-node storage so no
     // task mutates the tree) and the pure-structure task lists.
     const ghost_plan& gp = acquire_ghost_plan(t, opt.bc);
@@ -436,10 +426,11 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
         for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
             const node_key k = leaves[idx];
             dxs[idx] = ctx.at(k).g->geom.dx;
-            cfs.push_back(rt::async(pool, [&ctx, &opt, speeds, idx, k] {
+            cfs.push_back(rt::async(pool, [&ctx, &opt, cfg, speeds, idx, k] {
                 sanitize::region_read(interior_region(ctx.at(k).g),
                                       "hydro.interior");
-                (*speeds)[idx] = leaf_max_wave_speed(*ctx.at(k).g, opt);
+                (*speeds)[idx] =
+                    kernel::run_wave_speed(cfg, *ctx.at(k).g, opt.eos);
             }));
         }
         rt::apex_count("hydro.cfl_tasks", leaves.size());
@@ -624,7 +615,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                 rt::promise<void> done;
                 auto f = done.get_future();
                 rt::detach(rt::when_all(std::move(deps))
-                             .then(pool, [&opt, g = lc.g, lf = &lc.fluxes,
+                             .then(pool, [&opt, cfg, g = lc.g, lf = &lc.fluxes,
                                           axis, rlo, rhi, flux_started,
                                           done](auto) mutable {
                                  flux_started->store(
@@ -641,10 +632,10 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                                      gpu::work_item item;
                                      item.kc = kernel_class::hydro;
                                      item.flops = flux_sweep_flops;
-                                     item.kernel = [&opt, g, lf,
+                                     item.kernel = [&opt, cfg, g, lf,
                                                     axis](const double*) {
-                                         compute_axis_fluxes(*g, axis, opt,
-                                                             *lf);
+                                         compute_axis_fluxes(*g, axis, cfg,
+                                                             opt, *lf);
                                      };
                                      if (auto af = opt.aggregator->submit(
                                              std::move(item))) {
@@ -655,7 +646,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                                          return;
                                      }
                                  }
-                                 compute_axis_fluxes(*g, axis, opt, *lf);
+                                 compute_axis_fluxes(*g, axis, cfg, opt, *lf);
                                  done.set_value();
                              }));
                 join.push_back(alias(f));
@@ -730,7 +721,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
             deps.push_back(alias(dt_ready));
             deps.push_back(alias(gravity_done));
             auto f = rt::when_all(std::move(deps))
-                         .then(pool, [&opt, k, lc_ptr = &lc, dt_val,
+                         .then(pool, [&opt, cfg, k, lc_ptr = &lc, dt_val,
                                       second](auto) {
                              for (int axis = 0; axis < 3; ++axis) {
                                  sanitize::region_read(
@@ -753,7 +744,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                                                        "hydro.u0");
                              }
                              update_leaf(k, *lc_ptr->g, lc_ptr->fluxes,
-                                         *dt_val, opt, lc_ptr->refluxes,
+                                         *dt_val, cfg, opt, lc_ptr->refluxes,
                                          second ? &lc_ptr->u0 : nullptr);
                          });
             join.push_back(alias(f));
@@ -845,10 +836,13 @@ double measure_leaf_fluxes(const kernel::tuned_config& c,
     return 3.0 * reps * static_cast<double>(flux_sweep_flops) / secs / 1e9;
 }
 
-/// Resolve width/tile from the autotune cache, sweeping candidates at first
-/// use. The fixed default (full pack width, untiled) is the first candidate,
-/// so the tuned pick can never measure worse than it.
-step_options resolve_autotune(const step_options& opt) {
+/// The width-1 instantiation when !vectorized; else the width/tile from the
+/// autotune cache, sweeping candidates at first use (the fixed default — full
+/// pack width, untiled — is the first candidate, so the tuned pick can never
+/// measure worse than it); else the default.
+kernel::exec_config resolve_exec(const step_options& opt) {
+    if (!opt.vectorized) return {kernel::backend_kind::scalar, 1, 0};
+    if (!opt.autotune) return {kernel::backend_kind::simd, W, 0};
     std::vector<kernel::tuned_config> cands;
     for (const int w : {W, 4, 2, 1}) {
         for (const int tile : {0, 16, 32}) {
@@ -858,32 +852,25 @@ step_options resolve_autotune(const step_options& opt) {
             cands.push_back(c);
         }
     }
-    const kernel::tuned_config tc = kernel::global_autotune().tune(
-        opt.machine, "hydro.leaf_fluxes", kernel::backend_kind::simd, cands,
-        [&opt](const kernel::tuned_config& c) {
-            return measure_leaf_fluxes(c, opt.eos, opt.use_ppm);
-        });
-    step_options out = opt;
-    out.autotune = false;
-    out.use_simd = tc.width > 1;
-    out.simd_width = tc.width;
-    out.lane_tile = tc.tile;
-    return out;
+    return kernel::global_autotune()
+        .tune(opt.machine, "hydro.leaf_fluxes", kernel::backend_kind::simd,
+              cands,
+              [&opt](const kernel::tuned_config& c) {
+                  return measure_leaf_fluxes(c, opt.eos, opt.use_ppm);
+              })
+        .exec();
 }
 
 } // namespace
 
 double step(tree& t, const step_options& opt) {
-    if (opt.autotune) {
-        return step(t, resolve_autotune(opt));
-    }
+    const kernel::exec_config cfg = resolve_exec(opt);
     rt::apex_timer timer("hydro::step");
     rt::apex_count("hydro::steps");
-    rt::apex_gauge("hydro.simd_width",
-                   static_cast<std::uint64_t>(exec_cfg(opt).width));
+    rt::apex_gauge("hydro.simd_width", static_cast<std::uint64_t>(cfg.width));
     rt::thread_pool& pool =
         opt.pool != nullptr ? *opt.pool : rt::thread_pool::global();
-    return step_pipeline(t, opt, pool);
+    return step_pipeline(t, opt, cfg, pool);
 }
 
 totals compute_totals(const tree& t) {

@@ -13,7 +13,9 @@
 #include "amr/halo.hpp"
 #include "amr/tree.hpp"
 #include "hydro/state.hpp"
+#include "physics/eos.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/vec3.hpp"
 
 namespace octo::gpu {
 class aggregator; // gpu/aggregator.hpp — kept out of this header's includes
@@ -43,18 +45,14 @@ struct step_options {
     double cfl = 0.4;
     bool use_ppm = true;        ///< false: piecewise-constant (ablation)
     /// SoA pencil kernels on simd::pack (paper §4.3) vs the width-1
-    /// instantiation of the same portable kernel source (src/kernel). Both
-    /// produce results equal to rounding; the scalar path is kept selectable
-    /// for A/B benchmarking and equivalence tests.
-    bool use_simd = true;
-    /// Explicit SIMD pack width (2/4/8); 0 defers to use_simd's default.
-    int simd_width = 0;
-    /// Transverse-lane tile of the pencil kernels (cache blocking; any value
-    /// is bit-identical). 0 = untiled; clamped to a multiple of the width.
-    int lane_tile = 0;
-    /// Resolve width/tile from the autotune cache (kernel/autotune.hpp) under
-    /// `machine`, sweeping candidate geometries on a synthetic leaf at first
-    /// use if the cache has no entry yet.
+    /// instantiation of the same portable kernel source (src/kernel), which
+    /// is the scalar reference of the agreement tests. The same decision as
+    /// sim_options::vectorized and fmm::solver_options::vectorized.
+    bool vectorized = true;
+    /// Resolve the SIMD width and lane tile from the autotune cache
+    /// (kernel/autotune.hpp) under `machine`, sweeping candidate geometries
+    /// on a synthetic leaf at first use if the cache has no entry yet.
+    /// Ignored when !vectorized.
     bool autotune = false;
     std::string machine = "host";
     double fixed_dt = 0.0;      ///< >0: skip the CFL computation

@@ -1,10 +1,8 @@
-// Portable hydro kernel bodies (ISSUE 7). Each kernel is the ONE source of
-// truth: the SIMD SoA pencil path (former src/hydro/pencil.cpp) and the
-// scalar AoS path (former src/hydro/update.cpp kernels) collapsed into one
-// T-templated body per kernel. T = double (exec::scalar) or
-// simd::pack<double, W> (exec::simd<W>). Offloaded flux sweeps run the step's
-// own launch geometry, so they execute the same compiled function as the CPU
-// path.
+// Portable hydro kernel bodies. Each kernel is the ONE source of truth: one
+// T-templated body per kernel, with T = double (exec::scalar, the scalar
+// reference) or simd::pack<double, W> (exec::simd<W>). Offloaded flux sweeps
+// run the step's own launch geometry, so they execute the same compiled
+// function as the CPU path.
 
 #include "kernel/hydro.hpp"
 
@@ -42,7 +40,7 @@ constexpr int rv_l = 6 + n_passive;
 /// [W, L]; <= 0 means the whole plane (the untiled default). Lanes are
 /// visited in order within and across blocks, so every tile is bit-identical.
 template <int W>
-int lane_tile(int tile) {
+int clamp_tile(int tile) {
     static_assert(L % W == 0, "lane count must be a multiple of the pack width");
     if (tile <= 0) return L;
     const int tt = std::max(W, (tile / W) * W);
@@ -56,7 +54,7 @@ void primitives_body(const double* u, const ideal_gas_eos& eos, int tile,
     const double gamma = eos.gamma();
     const T floor_p(rho_floor), zero(0.0), half(0.5);
     const T desw(eos.de_switch()), gm1(gamma - 1.0);
-    const int tt = lane_tile<W>(tile);
+    const int tt = clamp_tile<W>(tile);
     for (int t0 = 0; t0 < L; t0 += tt) {
         const int tend = std::min(t0 + tt, L);
         for (int p = 0; p < P; ++p) {
@@ -122,7 +120,7 @@ void reconstruct_body(const double* q, bool use_ppm, int tile, double* iface,
         return;
     }
     const T zero(0.0), half(0.5), two(2.0), three(3.0), six(6.0);
-    const int tt = lane_tile<W>(tile);
+    const int tt = clamp_tile<W>(tile);
     for (int t0 = 0; t0 < L; t0 += tt) {
         const int tend = std::min(t0 + tt, L);
         // Interface i (lower face of cell cidx = i) from cells i-2..i+1
@@ -177,8 +175,9 @@ struct face_prim {
 };
 
 /// Assemble the conserved face state of one side from the reconstructed
-/// variables and derive its primitives exactly as to_primitives does, so
-/// every instantiation agrees with the others to rounding.
+/// variables and derive its primitives with the same dual-energy switch as
+/// primitives_body, so every instantiation agrees with the others to
+/// rounding.
 template <class T>
 face_prim<T> assemble_face(const double* rec, std::size_t off, int axis,
                            const ideal_gas_eos& eos, T* u) {
@@ -234,7 +233,7 @@ void flux_body(const double* flo, const double* fhi, int axis,
     const T zero(0.0), one(1.0);
     T msp(0.0);
     T uL[n_hydro_fields], uR[n_hydro_fields];
-    const int tt = lane_tile<W>(tile);
+    const int tt = clamp_tile<W>(tile);
     for (int t0 = 0; t0 < L; t0 += tt) {
         const int tend = std::min(t0 + tt, L);
         for (int p = 0; p < n_faces; ++p) {

@@ -3,9 +3,8 @@
 // Kurganov–Tadmor flux, wave-speed reduction, flux divergence, RK blend and
 // the dual-energy fixup — each written ONCE over the SoA pencil layout of
 // hydro/pencil.hpp and instantiated per execution-space policy (exec.hpp).
-// The former scalar AoS pencil path (src/hydro/update.cpp) and the SIMD
-// path (src/hydro/pencil.cpp) were collapsed into these bodies; the scalar
-// path is now simply the width-1 instantiation.
+// The scalar path (hydro::step_options::vectorized = false) is simply the
+// width-1 instantiation.
 //
 // Tiling: the pencil kernels (primitives / reconstruct / flux) take a
 // transverse-lane tile — lanes are processed in blocks of `tile` (multiple

@@ -15,8 +15,10 @@
 #include "core/simulation.hpp"
 #include "physics/polytrope.hpp"
 #include "io/checkpoint.hpp"
+#include "runtime/apex.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scf/scf.hpp"
+#include "support/flops.hpp"
 #include "support/rng.hpp"
 
 #include <cstdio>
@@ -322,9 +324,13 @@ TEST(Gpu, SystemLevelOffloadMatchesCpu) {
     gpu::device dev(gpu::p100());
     auto gpu_sim = make(&dev);
     auto cpu_sim = make(nullptr);
+    const auto hydro_before = flop_snapshot(kernel_class::hydro).gpu_launches;
     for (int s = 0; s < 2; ++s) {
         EXPECT_EQ(gpu_sim.advance(), cpu_sim.advance());
     }
+    // Both solvers offload through the gravity solver's executor: the hydro
+    // flux sweeps ran on the device, not only the FMM kernels.
+    EXPECT_GT(flop_snapshot(kernel_class::hydro).gpu_launches, hydro_before);
     const auto a = gpu_sim.diagnostics();
     const auto b = cpu_sim.diagnostics();
     EXPECT_EQ(a.rho_max, b.rho_max);
@@ -332,6 +338,20 @@ TEST(Gpu, SystemLevelOffloadMatchesCpu) {
     EXPECT_EQ(a.hydro.angular_momentum.z, b.hydro.angular_momentum.z);
     EXPECT_EQ(io::leaf_digests(gpu_sim.grid()), io::leaf_digests(cpu_sim.grid()));
     EXPECT_GT(dev.kernels_executed(), 0u);
+}
+
+TEST(Simulation, VectorizedFalseReachesHydro) {
+    // sim_options::vectorized is the one width flag: false selects the
+    // width-1 kernels in the hydro step as well as in the FMM.
+    auto t = scf::make_uniform_tree(4.0, 1);
+    scf::init_single_star(t, 1.0, 1.0, 1.5, {0, 0, 0}, {0, 0, 0}, 1e-10);
+    sim_options o = star_options();
+    o.vectorized = false;
+    simulation sim(std::move(t), o);
+    auto& reg = rt::apex_registry::instance();
+    reg.reset();
+    EXPECT_GT(sim.advance(), 0.0);
+    EXPECT_EQ(reg.counter("hydro.simd_width"), 1u);
 }
 
 TEST(Workflow, RestartFileRefinedToHigherResolution) {

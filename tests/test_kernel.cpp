@@ -2,7 +2,9 @@
 // body, so the backends must agree from that single source — scalar vs SIMD
 // to 1e-14 relative (different summation widths), and any tile
 // bit-identical to untiled at fixed width (tiling only reorders the block
-// boundaries, never the arithmetic).
+// boundaries, never the arithmetic). The PPM and Kurganov–Tadmor property
+// tests (linear exactness, monotonicity, consistency, upwinding) run on the
+// width-1 instantiation the hydro step uses as its scalar reference.
 // Plus the autotune cache: cold sweep -> persist -> warm hit -> disk hit,
 // observable through the APEX counters.
 
@@ -327,6 +329,189 @@ TEST(KernelHydro, UpdateKernelsScalarVsSimdWithinRounding) {
                           test_leaf().interior(f_egas, i, j, k);
             }
     EXPECT_TRUE(changed);
+}
+
+// ---- PPM and Kurganov–Tadmor properties -------------------------------------
+//
+// Properties of the scheme itself, checked on the width-1 instantiation of
+// the kernels every step runs (the SIMD widths agree with it above).
+
+constexpr int P = pencil_len;
+constexpr int L = pencil_lanes;
+constexpr int C = recon_cells; // cells -1..INX at pencil positions 1..INX+2
+
+/// PPM faces of one [pencil_len][pencil_lanes] plane holding `profile(p,
+/// lane)` at pencil position p; lo/hi are [recon_cells][lanes].
+struct ppm_faces {
+    std::vector<double> q, iface, lo, hi;
+};
+
+template <class Profile>
+ppm_faces reconstruct_plane(const Profile& profile) {
+    ppm_faces r;
+    r.q.resize(static_cast<std::size_t>(P) * L);
+    for (int p = 0; p < P; ++p)
+        for (int l = 0; l < L; ++l) r.q[p * L + l] = profile(p, l);
+    r.iface.resize(static_cast<std::size_t>(C + 1) * L);
+    r.lo.resize(static_cast<std::size_t>(C) * L);
+    r.hi.resize(static_cast<std::size_t>(C) * L);
+    kernel::hydro_reconstruct<kernel::exec::scalar>(
+        r.q.data(), /*use_ppm=*/true, 0, r.iface.data(), r.lo.data(),
+        r.hi.data());
+    return r;
+}
+
+TEST(Ppm, ReproducesLinearDataExactly) {
+    // PPM is exact for linear profiles away from limiting.
+    const auto r = reconstruct_plane(
+        [](int p, int l) { return 2.0 + 0.5 * p + 0.1 * l; });
+    for (int c = 1; c < C - 1; ++c)
+        for (int l = 0; l < L; ++l) {
+            const double qc = r.q[(c + 2) * L + l];
+            EXPECT_NEAR(r.lo[c * L + l], qc - 0.25, 1e-13) << c << " " << l;
+            EXPECT_NEAR(r.hi[c * L + l], qc + 0.25, 1e-13) << c << " " << l;
+        }
+}
+
+TEST(Ppm, PreservesConstants) {
+    const auto r = reconstruct_plane([](int, int) { return 3.14; });
+    for (int i = 0; i < C * L; ++i) {
+        EXPECT_DOUBLE_EQ(r.lo[i], 3.14);
+        EXPECT_DOUBLE_EQ(r.hi[i], 3.14);
+    }
+}
+
+TEST(Ppm, MonotoneAtDiscontinuity) {
+    // Face values must stay within neighboring cell averages (no overshoot).
+    // The jump sits at a lane-dependent position.
+    const auto r = reconstruct_plane(
+        [](int p, int l) { return p < 5 + l % 4 ? 1.0 : 0.1; });
+    for (int c = 0; c < C; ++c)
+        for (int l = 0; l < L; ++l) {
+            const double qm = r.q[(c + 1) * L + l];
+            const double qc = r.q[(c + 2) * L + l];
+            const double qp = r.q[(c + 3) * L + l];
+            const double mn = std::min({qc, qm, qp});
+            const double mx = std::max({qc, qm, qp});
+            for (const double f : {r.lo[c * L + l], r.hi[c * L + l]}) {
+                EXPECT_GE(f, mn - 1e-12) << c << " " << l;
+                EXPECT_LE(f, mx + 1e-12) << c << " " << l;
+            }
+        }
+}
+
+TEST(Ppm, FlattensLocalExtrema) {
+    const auto r =
+        reconstruct_plane([](int p, int) { return p == 4 ? 5.0 : 1.0; });
+    // Reconstruction cell 2 (pencil position 4) is an extremum: it must be
+    // flat there.
+    for (int l = 0; l < L; ++l) {
+        EXPECT_DOUBLE_EQ(r.lo[2 * L + l], 5.0);
+        EXPECT_DOUBLE_EQ(r.hi[2 * L + l], 5.0);
+    }
+}
+
+/// Conserved state with a passive scalar and spin, so every transported
+/// field carries a nonzero flux.
+state make_state(double rho, dvec3 v, double p, const phys::ideal_gas_eos& eos) {
+    using namespace octo::amr;
+    state u{};
+    u[f_rho] = rho;
+    u[f_sx] = rho * v.x;
+    u[f_sy] = rho * v.y;
+    u[f_sz] = rho * v.z;
+    const double internal = p / (eos.gamma() - 1.0);
+    u[f_egas] = internal + 0.5 * rho * norm2(v);
+    u[f_tau] = eos.tau_from_internal(internal);
+    u[first_passive] = 0.3 * rho;
+    u[f_lz] = 0.01 * rho;
+    return u;
+}
+
+/// Analytic physical flux of `u` along axis a.
+state physical_flux(const state& u, int a, const phys::ideal_gas_eos& eos) {
+    using namespace octo::amr;
+    const double rho = u[f_rho];
+    const dvec3 v{u[f_sx] / rho, u[f_sy] / rho, u[f_sz] / rho};
+    const double p = eos.pressure(
+        eos.internal_energy(u[f_egas], 0.5 * rho * norm2(v), u[f_tau]));
+    state f{};
+    for (int q = 0; q < n_fields; ++q) f[q] = u[q] * v[a];
+    f[f_sx + a] += p;
+    f[f_egas] += p * v[a];
+    return f;
+}
+
+/// First-order (use_ppm=false) KT fluxes along `axis` of a leaf whose cells
+/// (ghosts included) hold `left` below interior index `split` along the axis
+/// and `right` from it on, through the width-1 kernels.
+flux_run kt_sweep(const state& left, const state& right, int split, int axis,
+                  const phys::ideal_gas_eos& eos) {
+    using namespace octo::amr;
+    subgrid g;
+    for (int i = 0; i < NX; ++i)
+        for (int j = 0; j < NX; ++j)
+            for (int k = 0; k < NX; ++k) {
+                const int along = axis == 0 ? i : axis == 1 ? j : k;
+                const state& u = along - H_BW < split ? left : right;
+                for (int q = 0; q < n_fields; ++q) g.at(q, i, j, k) = u[q];
+            }
+    flux_run r;
+    r.lf.reset();
+    pencil_workspace ws;
+    octo::kernel::run_leaf_fluxes({kernel::backend_kind::scalar, 1, 0}, g, axis,
+                                  eos, /*use_ppm=*/false, ws, r.lf,
+                                  &r.max_speed);
+    return r;
+}
+
+TEST(KtFlux, ConsistencyWithPhysicalFlux) {
+    // A uniform state: every face flux is the physical flux.
+    const phys::ideal_gas_eos eos(1.4);
+    const state u = make_state(1.2, {0.3, -0.1, 0.2}, 0.8, eos);
+    for (int a = 0; a < 3; ++a) {
+        const auto r = kt_sweep(u, u, 0, a, eos);
+        const state fp = physical_flux(u, a, eos);
+        for (int q = 0; q < n_fields; ++q)
+            for (int p = 0; p < n_faces; ++p)
+                for (int b = 0; b < amr::INX; ++b)
+                    for (int c = 0; c < amr::INX; ++c) {
+                        EXPECT_NEAR(r.lf.at(a, q, p, b, c), fp[q],
+                                    1e-13 + std::abs(fp[q]) * 1e-13)
+                            << a << " " << q << " " << p;
+                    }
+    }
+}
+
+TEST(KtFlux, UpwindsSupersonicFlow) {
+    // Supersonic rightward flow: every face flux is its left state's flux,
+    // including the face between the two states.
+    const phys::ideal_gas_eos eos(1.4);
+    const state uL = make_state(1.0, {5.0, 0, 0}, 0.1, eos);
+    const state uR = make_state(0.5, {5.0, 0, 0}, 0.05, eos);
+    constexpr int split = 4;
+    const auto r = kt_sweep(uL, uR, split, 0, eos);
+    const state fL = physical_flux(uL, 0, eos);
+    const state fR = physical_flux(uR, 0, eos);
+    for (int q = 0; q < n_fields; ++q)
+        for (int p = 0; p < n_faces; ++p) {
+            // Face p lies between interior cells p-1 and p.
+            const double want = p - 1 < split ? fL[q] : fR[q];
+            for (int b = 0; b < amr::INX; ++b)
+                for (int c = 0; c < amr::INX; ++c) {
+                    EXPECT_NEAR(r.lf.at(0, q, p, b, c), want, 1e-12)
+                        << q << " " << p;
+                }
+        }
+}
+
+TEST(KtFlux, ReportsSignalSpeed) {
+    const phys::ideal_gas_eos eos(1.4);
+    const state uL = make_state(1.0, {2.0, 0, 0}, 1.0, eos);
+    const state uR = make_state(1.0, {-2.0, 0, 0}, 1.0, eos);
+    const auto r = kt_sweep(uL, uR, 4, 0, eos);
+    const double c = std::sqrt(1.4);
+    EXPECT_NEAR(r.max_speed, 2.0 + c, 1e-12);
 }
 
 // ---- autotune cache ---------------------------------------------------------

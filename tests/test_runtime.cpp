@@ -419,7 +419,7 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
                         eos.tau_from_internal(1.0);
                 }
     }
-    hydro::step_options opt; // defaults: use_simd
+    hydro::step_options opt; // defaults: vectorized
     opt.eos = eos;
     (void)hydro::step(t, opt);
 
@@ -436,7 +436,7 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
     // The scalar-kernel ablation reports lane width 1 and still runs one
     // CFL task per leaf.
     reg.reset();
-    opt.use_simd = false;
+    opt.vectorized = false;
     (void)hydro::step(t, opt);
     EXPECT_EQ(reg.counter("hydro.simd_width"), 1u);
     EXPECT_EQ(reg.counter("hydro.cfl_tasks"), leaves);
