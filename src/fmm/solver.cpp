@@ -118,7 +118,7 @@ void solver::m2m(tree& t, node_key k) {
     kernel::fmm_m2m<kernel::exec::scalar>(children, geom, mom, invm);
 }
 
-void solver::fill_buffer_region(tree& t, node_key nb, const ivec3& off,
+void solver::fill_buffer_region(node_key nb, const ivec3& off,
                                 partner_buffer& buf) const {
     constexpr int R = partner_buffer::reach;
     const auto& mom = moments_.at(nb);
@@ -129,7 +129,6 @@ void solver::fill_buffer_region(tree& t, node_key nb, const ivec3& off,
     const int hi[3] = {std::min(off.x * INX + INX, INX + R),
                        std::min(off.y * INX + INX, INX + R),
                        std::min(off.z * INX + INX, INX + R)};
-    (void)t;
     for (int i = lo[0]; i < hi[0]; ++i)
         for (int j = lo[1]; j < hi[1]; ++j)
             for (int k = lo[2]; k < hi[2]; ++k) {
@@ -191,17 +190,18 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     const bool is_root = (k == amr::root_key);
     const auto* stencil = is_root ? &root_stencil() : &interaction_stencil();
 
-    // Assemble the two partner buffers: cells from leaf neighbors (monopole
+    // Assemble the partner buffers: cells from leaf neighbors (monopole
     // partners) and from refined neighbors (multipole partners). The node's
-    // own cells go into the buffer matching its own type.
-    auto mono = std::make_shared<partner_buffer>();
-    auto multi = std::make_shared<partner_buffer>();
-    const box_geometry geom = t.geometry(k);
-    init_buffer_geometry(geom, *mono);
-    init_buffer_geometry(geom, *multi);
-    mono->reset_mass_bounds();
-    multi->reset_mass_bounds();
-
+    // own cells go into the buffer matching its own type. A class no
+    // existing neighbor belongs to gets no buffer at all: it would stay
+    // empty (any == false) and never be launched.
+    struct neighbor_ref {
+        node_key key;
+        ivec3 off;
+        bool refined;
+    };
+    neighbor_ref nbs[27];
+    int nnb = 0;
     for (int dx = -1; dx <= 1; ++dx)
         for (int dy = -1; dy <= 1; ++dy)
             for (int dz = -1; dz <= 1; ++dz) {
@@ -210,10 +210,22 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
                     nb = key_neighbor(k, {dx, dy, dz});
                     if (nb == amr::invalid_key || !t.contains(nb)) continue;
                 }
-                const bool nb_refined = t.node(nb).refined;
-                fill_buffer_region(t, nb, {dx, dy, dz},
-                                   nb_refined ? *multi : *mono);
+                nbs[nnb++] = {nb, {dx, dy, dz}, t.node(nb).refined};
             }
+
+    const box_geometry geom = t.geometry(k);
+    auto make_buffer = [&geom] {
+        auto buf = std::make_shared<partner_buffer>();
+        init_buffer_geometry(geom, *buf);
+        buf->reset_mass_bounds();
+        return buf;
+    };
+    std::shared_ptr<partner_buffer> mono, multi;
+    for (int n = 0; n < nnb; ++n) {
+        auto& buf = nbs[n].refined ? multi : mono;
+        if (!buf) buf = make_buffer();
+        fill_buffer_region(nbs[n].key, nbs[n].off, *buf);
+    }
 
     const auto& self_mom = moments_.at(k);
     const auto& self_invm = invm_.at(k);
@@ -232,7 +244,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     };
     std::vector<launch_spec> launches;
 
-    if (mono->any) {
+    if (mono && mono->any) {
         launch_spec s;
         s.buf = mono;
         s.opt.stencil = stencil;
@@ -252,7 +264,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
         }
         launches.push_back(std::move(s));
     }
-    if (multi->any) {
+    if (multi && multi->any) {
         launch_spec s;
         s.buf = multi;
         s.opt.stencil = stencil;
@@ -325,8 +337,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     }
 }
 
-void solver::l2l(tree& t, node_key k) {
-    (void)t;
+void solver::l2l(node_key k) {
     const auto& parentL = gravity_.at(k);
     const auto& pm = moments_.at(k);
     sanitize::region_read(&parentL, "fmm.gravity");
@@ -550,8 +561,8 @@ void solver::solve_dag(tree& t) {
             for (int c = 0; c < 8; ++c) {
                 deps.push_back(alias(same_done.at(key_child(k, c))));
             }
-            auto f = rt::when_all(std::move(deps)).then(pool, [this, &t, k](auto) {
-                l2l(t, k);
+            auto f = rt::when_all(std::move(deps)).then(pool, [this, k](auto) {
+                l2l(k);
                 // The children's expansions are final now (their own L2L
                 // writes only grandchildren): evaluate them inline instead
                 // of spawning eight micro-tasks.

@@ -93,9 +93,9 @@ class solver {
     void m2m(amr::tree& t, amr::node_key k);
     void same_level(amr::tree& t, amr::node_key k,
                     std::vector<rt::future<void>>& pending);
-    void l2l(amr::tree& t, amr::node_key k);
+    void l2l(amr::node_key k);
     void evaluate_node(amr::node_key k);
-    void fill_buffer_region(amr::tree& t, amr::node_key nb, const ivec3& off,
+    void fill_buffer_region(amr::node_key nb, const ivec3& off,
                             partner_buffer& buf) const;
 
     /// (Re)create the per-node workspace maps only when the tree structure

@@ -19,8 +19,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 
 #include "simd/pack.hpp"
 #include "support/vec3.hpp"
@@ -42,9 +40,10 @@ constexpr int idx2(int i, int j) {
     return map[i][j];
 }
 
-/// Index of the third-derivative coefficient for sorted (i <= j <= k).
+/// Index of the third-derivative coefficient for (i, j, k) in any order.
 constexpr int idx3(int i, int j, int k) {
-    // Sorted triples over {0,1,2}: 000,001,002,011,012,022,111,112,122,222
+    // Sorted triples over {0,1,2}: 000,001,002,011,012,022,111,112,122,222;
+    // every permutation of a triple maps to its sorted entry.
     constexpr int map[3][3][3] = {
         {{10, 11, 12}, {11, 13, 14}, {12, 14, 15}},
         {{11, 13, 14}, {13, 16, 17}, {14, 17, 18}},
@@ -70,8 +69,6 @@ using expansion = std::array<T, n_taylor>;
 ///   out[1..3]    = -x_i / r^3
 ///   out[4..9]    = 3 x_i x_j / r^5 - delta_ij / r^3
 ///   out[10..19]  = -15 x_i x_j x_k / r^7 + 3 (d_ij x_k + d_jk x_i + d_ik x_j)/r^5
-/// Returns the number of floating point operations executed (a compile-time
-/// constant; used for the paper-style FLOP accounting).
 template <class T>
 inline void greens_d3(const T x[3], T r2, expansion<T>& out) {
     using octo::simd::rsqrt;
@@ -108,11 +105,53 @@ inline void greens_d3(const T x[3], T r2, expansion<T>& out) {
     }
 }
 
-/// FLOPs executed by greens_d3 per (scalar) evaluation; counted by hand from
-/// the code above (rsqrt counted as 2).
-inline constexpr std::uint64_t greens_d3_flops = 2 + 4 /*rinv powers*/ + 3 /*D1*/ +
-                                                 1 + 6 * 2 + 3 /*D2*/ +
-                                                 1 + 10 * 3 + 16 /*D3*/;
+namespace detail {
+
+// The six (a <= b) index pairs in the storage order of second moments and
+// second derivatives (xx, xy, xz, yy, yz, zz), with their mult2 weights.
+inline constexpr int pair_a[6] = {0, 0, 0, 1, 1, 2};
+inline constexpr int pair_b[6] = {0, 1, 2, 1, 2, 2};
+inline constexpr double pair_mult[6] = {1.0, 2.0, 2.0, 1.0, 2.0, 1.0};
+
+// d3_of[i][p]: coefficient index of the third derivative (i, a_p, b_p).
+inline constexpr auto d3_of = [] {
+    std::array<std::array<int, 6>, 3> m{};
+    for (int i = 0; i < 3; ++i)
+        for (int p = 0; p < 6; ++p) m[i][p] = idx3(i, pair_a[p], pair_b[p]);
+    return m;
+}();
+
+} // namespace detail
+
+// The rank-3 contractions below are fully unrolled, so every tensor index is
+// a compile-time constant and the operands stay in registers. Each
+// accumulator sums its terms in the same order as the plain nested loops
+// (pairs in storage order, offsets x, y, z), so results are bit-identical
+// to them.
+
+/// t_i += sum_{a<=b} mult2(a,b) s_ab D3_iab for i = 0, 1, 2: the gradient
+/// contraction of a symmetric second moment s (6 entries in storage order,
+/// read as s[p]: an array or any type with operator[]) against the
+/// third-derivative block of D.
+template <class T, class S>
+inline void contract_d3_pairs(const expansion<T>& D, const S& s, T t[3]) {
+#pragma GCC unroll 3
+    for (int i = 0; i < 3; ++i)
+#pragma GCC unroll 6
+        for (int p = 0; p < 6; ++p) {
+            t[i] = t[i] + T(detail::pair_mult[p]) * s[p] * D[detail::d3_of[i][p]];
+        }
+}
+
+/// v_ab += sum_e L3_abe delta_e for the six (a <= b) pairs (storage order):
+/// the third-order part of translating second derivatives by delta.
+template <class T>
+inline void contract_d3_offset(const expansion<T>& L, const T delta[3], T v[6]) {
+#pragma GCC unroll 6
+    for (int p = 0; p < 6; ++p)
+#pragma GCC unroll 3
+        for (int e = 0; e < 3; ++e) v[p] = v[p] + L[detail::d3_of[e][p]] * delta[e];
+}
 
 /// Evaluate the expansion's value at offset delta from its center.
 template <class T>
@@ -135,19 +174,20 @@ T evaluate(const expansion<T>& L, const T delta[3]) {
 /// Gradient of the expansion at offset delta (out[i] = d phi / d x_i).
 template <class T>
 void evaluate_gradient(const expansion<T>& L, const T delta[3], T out[3]) {
+    using detail::pair_a;
+    using detail::pair_b;
+#pragma GCC unroll 3
     for (int i = 0; i < 3; ++i) {
         T g = L[1 + i];
+#pragma GCC unroll 3
         for (int j = 0; j < 3; ++j) {
             g = g + L[idx2(std::min(i, j), std::max(i, j))] * delta[j];
         }
-        for (int j = 0; j < 3; ++j)
-            for (int k = j; k < 3; ++k) {
-                int a = i, b = j, c = k; // sort (a,b,c)
-                if (a > b) std::swap(a, b);
-                if (b > c) std::swap(b, c);
-                if (a > b) std::swap(a, b);
-                g = g + T(0.5 * mult2(j, k)) * L[idx3(a, b, c)] * delta[j] * delta[k];
-            }
+#pragma GCC unroll 6
+        for (int p = 0; p < 6; ++p) {
+            g = g + T(0.5 * detail::pair_mult[p]) * L[detail::d3_of[i][p]] *
+                        delta[pair_a[p]] * delta[pair_b[p]];
+        }
         out[i] = g;
     }
 }
@@ -161,18 +201,10 @@ void shift_expansion(const expansion<T>& src, const T delta[3], expansion<T>& ds
     evaluate_gradient(src, delta, grad);
     for (int i = 0; i < 3; ++i) dst[1 + i] = dst[1 + i] + grad[i];
     // Second derivatives pick up the third-order terms.
-    for (int i = 0; i < 3; ++i)
-        for (int j = i; j < 3; ++j) {
-            T v = src[idx2(i, j)];
-            for (int k = 0; k < 3; ++k) {
-                int a = i, b = j, c = k;
-                if (a > b) std::swap(a, b);
-                if (b > c) std::swap(b, c);
-                if (a > b) std::swap(a, b);
-                v = v + src[idx3(a, b, c)] * delta[k];
-            }
-            dst[idx2(i, j)] = dst[idx2(i, j)] + v;
-        }
+    T v[6];
+    for (int p = 0; p < 6; ++p) v[p] = src[4 + p];
+    contract_d3_offset(src, delta, v);
+    for (int p = 0; p < 6; ++p) dst[4 + p] = dst[4 + p] + v[p];
     for (int t = 10; t < n_taylor; ++t) dst[t] = dst[t] + src[t];
 }
 

@@ -25,7 +25,6 @@ using fmm::cell_index;
 using fmm::expansion;
 using fmm::greens_d3;
 using fmm::idx2;
-using fmm::idx3;
 using fmm::kernel_options;
 using fmm::mult2;
 using fmm::n_taylor;
@@ -127,6 +126,19 @@ const parity_lists<T>& active_parity_lists(const std::vector<stencil_element>& s
     }
     return pl;
 }
+
+/// The symmetrized pair moment S_ab = mA QB_ab + mB QA_ab, formed at each
+/// use rather than stored: a stored S array lets GCC's SLP vectorizer
+/// regroup the width-1 instantiation's multiply-adds into different fused
+/// contractions, which changes its rounding.
+template <class T>
+struct sym_moment {
+    const T& mA;
+    const T* qb;
+    const T& mB;
+    const T* qa;
+    T operator[](int p) const { return mA * qb[p] + mB * qa[p]; }
+};
 
 /// Resolve the receiver-row tile: rows of (i, j) receiver pairs processed
 /// per block, in row order — any tile yields the untiled iteration order,
@@ -270,29 +282,15 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                     const bool central = opt.conserve == am_mode::central_projection;
                     const bool deposit = opt.conserve == am_mode::spin_deposit;
 
-                    T tvec[3], tsym[3];
-                    for (int a = 0; a < 3; ++a) tvec[a] = tsym[a] = T(0.0);
-                    {
-                        int t = 0;
-                        for (int a = 0; a < 3; ++a)
-                            for (int b = a; b < 3; ++b, ++t) {
-                                const T s_plain = qb[t];
-                                const T s_sym = mA * qb[t] + mB * qa[t];
-                                const T s = central ? s_sym : s_plain;
-                                for (int d = 0; d < 3; ++d) {
-                                    int u = d, v = a, w = b; // sort (u,v,w)
-                                    if (u > v) std::swap(u, v);
-                                    if (v > w) std::swap(v, w);
-                                    if (u > v) std::swap(u, v);
-                                    const T d3 = D[idx3(u, v, w)];
-                                    tvec[d] = tvec[d] + T(mult2(a, b)) * s * d3;
-                                    if (deposit) {
-                                        tsym[d] =
-                                            tsym[d] + T(mult2(a, b)) * s_sym * d3;
-                                    }
-                                }
-                            }
+                    const sym_moment<T> s_sym{mA, qb, mB, qa};
+                    T tvec[3] = {T(0.0), T(0.0), T(0.0)};
+                    T tsym[3] = {T(0.0), T(0.0), T(0.0)};
+                    if (central) {
+                        fmm::contract_d3_pairs(D, s_sym, tvec);
+                    } else {
+                        fmm::contract_d3_pairs(D, qb, tvec);
                     }
+                    if (deposit) fmm::contract_d3_pairs(D, s_sym, tsym);
                     T half_scale = T(0.5);
                     if (central) {
                         // Project onto the line of centers: the pair torque
@@ -462,19 +460,8 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
                             r.da = {-(grad[0] - src[1]), -(grad[1] - src[2]),
                                     -(grad[2] - src[3])};
                             // L2 shift (feeds the next L2L level).
-                            int s2 = 0;
-                            for (int a = 0; a < 3; ++a)
-                                for (int b = a; b < 3; ++b, ++s2) {
-                                    double v = 0;
-                                    for (int e = 0; e < 3; ++e) {
-                                        int u = a, v2 = b, w = e;
-                                        if (u > v2) std::swap(u, v2);
-                                        if (v2 > w) std::swap(v2, w);
-                                        if (u > v2) std::swap(u, v2);
-                                        v += src[idx3(u, v2, w)] * d[e];
-                                    }
-                                    r.dL2[s2] = v;
-                                }
+                            for (double& v : r.dL2) v = 0.0;
+                            fmm::contract_d3_offset(src, d, r.dL2);
                         }
 
                 if (conserve == am_mode::central_projection) {
@@ -539,21 +526,11 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
                     const auto& cm = *childM[oc];
                     for (int c = 0; c < 8; ++c) {
                         const int cc = ch[c].cell;
-                        dvec3 tv{0, 0, 0};
-                        int s2 = 0;
-                        for (int a = 0; a < 3; ++a)
-                            for (int b = a; b < 3; ++b, ++s2) {
-                                const double qv = cm.q[s2][cc];
-                                for (int d = 0; d < 3; ++d) {
-                                    int u = d, v = a, w = b;
-                                    if (u > v) std::swap(u, v);
-                                    if (v > w) std::swap(v, w);
-                                    if (u > v) std::swap(u, v);
-                                    tv[d] += mult2(a, b) * qv *
-                                             src[idx3(u, v, w)];
-                                }
-                            }
-                        const dvec3 F_deep = -0.5 * tv;
+                        double qc[6];
+                        for (int s2 = 0; s2 < 6; ++s2) qc[s2] = cm.q[s2][cc];
+                        double tv[3] = {0.0, 0.0, 0.0};
+                        fmm::contract_d3_pairs(src, qc, tv);
+                        const dvec3 F_deep = -0.5 * dvec3{tv[0], tv[1], tv[2]};
                         T_deep += cross(ch[c].delta, F_deep);
                     }
                     ledger -= T_int + T_deep;

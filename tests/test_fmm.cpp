@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "amr/tree.hpp"
@@ -17,6 +20,7 @@
 #include "fmm/taylor.hpp"
 #include "kernel/fmm.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simd/pack.hpp"
 #include "support/buffer_recycler.hpp"
 #include "support/rng.hpp"
 
@@ -247,6 +251,141 @@ TEST(Taylor, GradientIsDerivativeOfEvaluate) {
         dm[i] -= h;
         EXPECT_NEAR(grad[i], (evaluate(L, dp) - evaluate(L, dm)) / (2 * h), 1e-7);
     }
+}
+
+// The straight-line rank-3 contractions must equal the runtime-sorted loops
+// they replaced bit for bit, at every value type the kernels instantiate.
+// The references below are those loops, kept verbatim in form.
+
+template <class T>
+void loop_contract_d3_pairs(const expansion<T>& D, const T s[6], T t[3]) {
+    int p = 0;
+    for (int a = 0; a < 3; ++a)
+        for (int b = a; b < 3; ++b, ++p)
+            for (int d = 0; d < 3; ++d) {
+                int u = d, v = a, w = b; // sort (u,v,w)
+                if (u > v) std::swap(u, v);
+                if (v > w) std::swap(v, w);
+                if (u > v) std::swap(u, v);
+                t[d] = t[d] + T(mult2(a, b)) * s[p] * D[idx3(u, v, w)];
+            }
+}
+
+template <class T>
+void loop_contract_d3_offset(const expansion<T>& L, const T delta[3], T v[6]) {
+    int p = 0;
+    for (int a = 0; a < 3; ++a)
+        for (int b = a; b < 3; ++b, ++p)
+            for (int e = 0; e < 3; ++e) {
+                int u = a, v2 = b, w = e;
+                if (u > v2) std::swap(u, v2);
+                if (v2 > w) std::swap(v2, w);
+                if (u > v2) std::swap(u, v2);
+                v[p] = v[p] + L[idx3(u, v2, w)] * delta[e];
+            }
+}
+
+template <class T>
+void loop_evaluate_gradient(const expansion<T>& L, const T delta[3], T out[3]) {
+    for (int i = 0; i < 3; ++i) {
+        T g = L[1 + i];
+        for (int j = 0; j < 3; ++j) {
+            g = g + L[idx2(std::min(i, j), std::max(i, j))] * delta[j];
+        }
+        for (int j = 0; j < 3; ++j)
+            for (int k = j; k < 3; ++k) {
+                int a = i, b = j, c = k;
+                if (a > b) std::swap(a, b);
+                if (b > c) std::swap(b, c);
+                if (a > b) std::swap(a, b);
+                g = g + T(0.5 * mult2(j, k)) * L[idx3(a, b, c)] * delta[j] * delta[k];
+            }
+        out[i] = g;
+    }
+}
+
+template <class T>
+constexpr int lanes = kernel::lane_count<T>::value;
+
+template <class T>
+double lane(const T& v, int l) {
+    if constexpr (lanes<T> == 1) {
+        (void)l;
+        return v;
+    } else {
+        return v[l];
+    }
+}
+
+/// A value whose lanes are drawn by `draw(lane)`.
+template <class T, class F>
+T lanes_of(F&& draw) {
+    if constexpr (lanes<T> == 1) {
+        return draw(0);
+    } else {
+        T v;
+        for (int l = 0; l < lanes<T>; ++l) v.set(l, draw(l));
+        return v;
+    }
+}
+
+template <class T>
+void expect_same_bits(const T& a, const T& b, const char* what, int trial, int i) {
+    for (int l = 0; l < lanes<T>; ++l) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(lane(a, l)),
+                  std::bit_cast<std::uint64_t>(lane(b, l)))
+            << what << " trial " << trial << " entry " << i << " lane " << l;
+    }
+}
+
+template <class T>
+void check_straight_line_contractions(std::uint64_t seed) {
+    xoshiro256 rng(seed);
+    auto uniform = [&] { return lanes_of<T>([&](int) { return rng.uniform(-1, 1); }); };
+    for (int trial = 0; trial < 200; ++trial) {
+        expansion<T> L;
+        for (auto& c : L) c = uniform();
+        // Offsets: lane 0 of a pack (every fourth trial at width 1) is the
+        // zero offset, lane 1 is all negative, other lanes are mixed.
+        T delta[3];
+        for (int e = 0; e < 3; ++e) {
+            delta[e] = lanes_of<T>([&](int l) {
+                const int zero_lane = lanes<T> == 1 ? trial % 4 : 0;
+                if (l == zero_lane) return 0.0;
+                if (l == 1) return -rng.uniform(0.01, 0.5);
+                return rng.uniform(-0.5, 0.5);
+            });
+        }
+        T s[6], t_init[3], v_init[6];
+        for (auto& x : s) x = uniform();
+        for (auto& x : t_init) x = uniform();
+        for (auto& x : v_init) x = uniform();
+
+        T t_ref[3], t_new[3];
+        std::copy(t_init, t_init + 3, t_ref);
+        std::copy(t_init, t_init + 3, t_new);
+        loop_contract_d3_pairs(L, s, t_ref);
+        contract_d3_pairs(L, s, t_new);
+        for (int i = 0; i < 3; ++i) expect_same_bits(t_ref[i], t_new[i], "pairs", trial, i);
+
+        T v_ref[6], v_new[6];
+        std::copy(v_init, v_init + 6, v_ref);
+        std::copy(v_init, v_init + 6, v_new);
+        loop_contract_d3_offset(L, delta, v_ref);
+        contract_d3_offset(L, delta, v_new);
+        for (int i = 0; i < 6; ++i) expect_same_bits(v_ref[i], v_new[i], "offset", trial, i);
+
+        T g_ref[3], g_new[3];
+        loop_evaluate_gradient(L, delta, g_ref);
+        evaluate_gradient(L, delta, g_new);
+        for (int i = 0; i < 3; ++i) expect_same_bits(g_ref[i], g_new[i], "gradient", trial, i);
+    }
+}
+
+TEST(Taylor, StraightLineContractionsMatchLoopForm) {
+    check_straight_line_contractions<double>(21);
+    check_straight_line_contractions<simd::pack<double, 4>>(22);
+    check_straight_line_contractions<simd::pack<double, 8>>(23);
 }
 
 // ---- solver -----------------------------------------------------------------

@@ -141,15 +141,20 @@ TEST(KernelFmm, MultipoleScalarVsSimdWithinRounding) {
     aligned_vector<double> invm(INX3);
     for (int i = 0; i < INX3; ++i) invm[i] = 1.0 / mom.m[i];
     const auto buf = make_buffer(true);
-    const auto opt = stencil_opt(true);
-    node_gravity ref;
-    octo::kernel::fmm_multipole<octo::kernel::exec::scalar>(mom, invm, buf, opt,
-                                                            0, ref);
-    for (const int w : {2, 4, 8}) {
-        node_gravity out;
-        octo::kernel::run_fmm_multipole({kernel::backend_kind::simd, w, 0}, mom,
-                                        invm, buf, opt, out);
-        compare_gravity(ref, out, /*exact=*/false);
+    for (const am_mode mode :
+         {am_mode::none, am_mode::central_projection, am_mode::spin_deposit}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        auto opt = stencil_opt(true);
+        opt.conserve = mode;
+        node_gravity ref;
+        octo::kernel::fmm_multipole<octo::kernel::exec::scalar>(mom, invm, buf, opt,
+                                                                0, ref);
+        for (const int w : {2, 4, 8}) {
+            node_gravity out;
+            octo::kernel::run_fmm_multipole({kernel::backend_kind::simd, w, 0}, mom,
+                                            invm, buf, opt, out);
+            compare_gravity(ref, out, /*exact=*/false);
+        }
     }
 }
 
