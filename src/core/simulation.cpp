@@ -33,6 +33,7 @@ simulation::simulation(tree t, sim_options opt)
 
 simulation simulation::restart(const std::string& checkpoint_path,
                                sim_options opt) {
+    buffer_recycler::instance().release_pages();
     io::checkpoint_data ck = io::read_checkpoint_full(checkpoint_path);
     simulation s(std::move(ck.t), opt);
     s.time_ = ck.meta.time;
@@ -42,6 +43,7 @@ simulation simulation::restart(const std::string& checkpoint_path,
 
 simulation simulation::restart_chain(const std::vector<std::string>& chain,
                                      sim_options opt) {
+    buffer_recycler::instance().release_pages();
     io::checkpoint_data ck = io::read_checkpoint_chain(chain);
     simulation s(std::move(ck.t), opt);
     s.time_ = ck.meta.time;
@@ -53,6 +55,7 @@ simulation simulation::recover(const std::vector<std::string>& chain,
                                sim_options opt,
                                std::vector<int> live_ranks) {
     const auto t0 = std::chrono::steady_clock::now();
+    buffer_recycler::instance().release_pages();
     io::checkpoint_data ck = io::read_checkpoint_chain(chain);
     simulation s(std::move(ck.t), opt);
     s.time_ = ck.meta.time;

@@ -19,6 +19,7 @@
 #include "hydro/update.hpp"
 #include "io/checkpoint.hpp"
 #include "physics/eos.hpp"
+#include "support/buffer_recycler.hpp"
 
 namespace octo::core {
 
@@ -89,6 +90,10 @@ class simulation {
     /// Resume from a checkpoint written by a previous run: restores the
     /// tree, simulation time and step count, so the continued run is bit-
     /// identical to one that never stopped (asserted in tests/test_fault).
+    /// Restarts (also restart_chain() and recover()) first release the
+    /// pages of the recycler's parked scratch, so a restored tree built
+    /// while the previous instance is still alive does not stack on top of
+    /// it; a destroyed simulation releases its parked buffers the same way.
     static simulation restart(const std::string& checkpoint_path,
                               sim_options opt);
 
@@ -177,6 +182,12 @@ class simulation {
     void write_periodic_checkpoint();
     /// Weighted full split over the live ranks (all ranks before recovery).
     void repartition_weighted();
+
+    /// Declared first, so destroyed last: after the members below have
+    /// parked their buffers, give those buffers' pages back to the OS.
+    struct release_parked_pages {
+        ~release_parked_pages() { buffer_recycler::instance().release_pages(); }
+    } release_on_exit_;
 
     amr::tree tree_;
     sim_options opt_;

@@ -12,10 +12,11 @@
 //     expansion, with the optional angular-momentum-conserving force term.
 //
 // Both are function templates over the value type T: instantiated with
-// simd::pack<double,4> for the vectorized CPU path and plain double for the
-// scalar path that stands in for the CUDA kernel (paper §5.1: "we can simply
+// simd::pack<double,W> for the vectorized path (W = 8 by default) and plain
+// double for the width-1 scalar reference (paper §5.1: "we can simply
 // instance the same function template with scalar datatypes and call it
-// within the GPU kernel").
+// within the GPU kernel"). The simulated GPU runs the same vectorized
+// instantiation as the CPU, so offloaded results are bit-identical.
 //
 // Conservation (paper §4.2/§4.3): pair interactions are evaluated from both
 // sides with bitwise-mirrored arithmetic (the Green's-function derivatives
@@ -36,7 +37,8 @@ namespace octo::fmm {
 /// counts 12 for the force-only kernel; ours also accumulates the potential.
 inline constexpr std::uint64_t mono_flops_per_interaction = 15;
 /// FLOPs per multipole interaction (per scalar lane), hand-counted from the
-/// kernel below (paper: 455 with its higher-order expansions).
+/// kernel body in src/kernel/fmm.cpp (paper: 455 with its higher-order
+/// expansions).
 inline constexpr std::uint64_t multi_flops_per_interaction = 262;
 
 /// Angular-momentum conservation strategy for the multipole force terms.

@@ -12,13 +12,14 @@
 // flops/cell than PVFMM.
 //
 // All functions are templates over the value type so the same code is
-// instantiated with simd::pack<double, W> for the vectorized CPU kernels and
-// with double for the scalar (simulated-GPU) kernels — the Vc/CUDA trick of
-// paper §5.1.
+// instantiated with simd::pack<double, W> for the vectorized kernels (CPU
+// and simulated GPU alike) and with double for the width-1 scalar reference
+// and the scalar M2M/L2L passes — the Vc/CUDA trick of paper §5.1.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <type_traits>
 
 #include "simd/pack.hpp"
 #include "support/vec3.hpp"
@@ -64,11 +65,40 @@ constexpr double mult3(int i, int j, int k) {
 template <class T>
 using expansion = std::array<T, n_taylor>;
 
+/// a * b + c with one rounding where the build targets FMA hardware, and
+/// with two (a product, then a sum) where it does not: exactly what
+/// -ffp-contract=fast makes of `a * b + c` on each kind of build, pinned
+/// so that unrolling or re-associating the caller cannot move the fusion
+/// onto a different product. Lane-wise for packs; the lane loop compiles to
+/// one packed FMA.
+template <class T>
+inline T fused(const T& a, const T& b, const T& c) {
+#ifdef __FMA__
+    if constexpr (std::is_floating_point_v<T>) {
+        return __builtin_fma(a, b, c);
+    } else {
+        T r;
+        for (std::size_t l = 0; l < T::size(); ++l) r.set(l, __builtin_fma(a[l], b[l], c[l]));
+        return r;
+    }
+#else
+    return a * b + c;
+#endif
+}
+
 /// Derivative tensors of 1/r evaluated at x (r2 = |x|^2 must be > 0):
 ///   out[0]       = 1/r
 ///   out[1..3]    = -x_i / r^3
 ///   out[4..9]    = 3 x_i x_j / r^5 - delta_ij / r^3
 ///   out[10..19]  = -15 x_i x_j x_k / r^7 + 3 (d_ij x_k + d_jk x_i + d_ik x_j)/r^5
+///
+/// Straight-line code: every index is a compile-time constant, so the
+/// kernel keeps x and the 20 outputs in registers. Each entry is the
+/// rounded product (x_i x_j) [x_k] times the radial factor, and each delta
+/// term is added to it through fused(). That pins the FMA on the delta
+/// term, where -ffp-contract=fast puts it in the plain nested
+/// (i, j >= i, k >= j) loop form, so both forms give the same bits at every
+/// pack width (test_fmm keeps the loop form as the reference).
 template <class T>
 inline void greens_d3(const T x[3], T r2, expansion<T>& out) {
     using octo::simd::rsqrt;
@@ -79,30 +109,40 @@ inline void greens_d3(const T x[3], T r2, expansion<T>& out) {
     const T rinv7 = rinv5 * rinv2;
 
     out[0] = rinv;
-    for (int i = 0; i < 3; ++i) out[1 + i] = -x[i] * rinv3;
+    out[1] = -x[0] * rinv3;
+    out[2] = -x[1] * rinv3;
+    out[3] = -x[2] * rinv3;
+
+    const T xx = x[0] * x[0], xy = x[0] * x[1], xz = x[0] * x[2];
+    const T yy = x[1] * x[1], yz = x[1] * x[2], zz = x[2] * x[2];
 
     const T three_rinv5 = T(3.0) * rinv5;
-    for (int i = 0; i < 3; ++i) {
-        for (int j = i; j < 3; ++j) {
-            T v = x[i] * x[j] * three_rinv5;
-            if (i == j) v = v - rinv3;
-            out[idx2(i, j)] = v;
-        }
-    }
+    const T m_rinv3 = -rinv3;
+    out[4] = fused(xx, three_rinv5, m_rinv3);
+    out[5] = xy * three_rinv5;
+    out[6] = xz * three_rinv5;
+    out[7] = fused(yy, three_rinv5, m_rinv3);
+    out[8] = yz * three_rinv5;
+    out[9] = fused(zz, three_rinv5, m_rinv3);
 
     const T m15_rinv7 = T(-15.0) * rinv7;
-    for (int i = 0; i < 3; ++i) {
-        for (int j = i; j < 3; ++j) {
-            for (int k = j; k < 3; ++k) {
-                T v = x[i] * x[j] * x[k] * m15_rinv7;
-                if (i == j) v = v + three_rinv5 * x[k];
-                if (j == k) v = v + three_rinv5 * x[i];
-                if (i == k && i != j) v = v + three_rinv5 * x[j];
-                else if (i == k && i == j) v = v + three_rinv5 * x[j];
-                out[idx3(i, j, k)] = v;
-            }
-        }
-    }
+    // xxx, yyy, zzz: three delta terms each.
+    const auto d3_diag = [&](const T& xi, const T& xi2) {
+        T v = xi2 * xi * m15_rinv7;
+        v = fused(three_rinv5, xi, v);
+        v = fused(three_rinv5, xi, v);
+        return fused(three_rinv5, xi, v);
+    };
+    out[10] = d3_diag(x[0], xx);
+    out[11] = fused(three_rinv5, x[1], xx * x[1] * m15_rinv7); // xxy
+    out[12] = fused(three_rinv5, x[2], xx * x[2] * m15_rinv7); // xxz
+    out[13] = fused(three_rinv5, x[0], xy * x[1] * m15_rinv7); // xyy
+    out[14] = xy * x[2] * m15_rinv7;                            // xyz
+    out[15] = fused(three_rinv5, x[0], xz * x[2] * m15_rinv7); // xzz
+    out[16] = d3_diag(x[1], yy);
+    out[17] = fused(three_rinv5, x[2], yy * x[2] * m15_rinv7); // yyz
+    out[18] = fused(three_rinv5, x[1], yz * x[2] * m15_rinv7); // yzz
+    out[19] = d3_diag(x[2], zz);
 }
 
 namespace detail {

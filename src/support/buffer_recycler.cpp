@@ -6,6 +6,11 @@
 #include <unordered_map>
 #include <vector>
 
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include "sanitize/hooks.hpp"
 #include "sanitize/tsan.hpp"
 
@@ -83,6 +88,24 @@ buffer_recycler::stats_t buffer_recycler::stats() const {
     std::lock_guard lock(impl_->mutex);
     s.pooled_bytes = impl_->pooled_bytes;
     return s;
+}
+
+void buffer_recycler::release_pages() {
+#ifdef __linux__
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    std::lock_guard lock(impl_->mutex);
+    for (const auto& [key, list] : impl_->buckets) {
+        const auto bytes = static_cast<std::uintptr_t>(key & ((std::uint64_t{1} << 48) - 1));
+        for (void* p : list) {
+            // Whole pages only: the allocator's bookkeeping around a block
+            // and any neighbouring block keep their bytes.
+            const auto b = reinterpret_cast<std::uintptr_t>(p);
+            const std::uintptr_t lo = (b + page - 1) & ~(page - 1);
+            const std::uintptr_t hi = (b + bytes) & ~(page - 1);
+            if (hi > lo) ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+        }
+    }
+#endif
 }
 
 void buffer_recycler::clear() {

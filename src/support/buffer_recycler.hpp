@@ -40,6 +40,14 @@ class buffer_recycler {
     /// emulate cold-start allocation behaviour.
     void clear();
 
+    /// Give the memory of every parked buffer back to the OS but keep the
+    /// buffers parked: the whole pages inside each one are dropped (Linux
+    /// madvise MADV_DONTNEED; a no-op elsewhere), and the next owner faults
+    /// in fresh zero pages. Counters and pooled_bytes do not change. For
+    /// points where parked buffers are idle for a while and something large
+    /// is about to be allocated beside them (core::simulation restarts).
+    void release_pages();
+
   private:
     buffer_recycler();
     ~buffer_recycler() = delete; // leaky singleton

@@ -175,6 +175,24 @@ TEST(Taylor, GreensMatchesFiniteDifferences) {
             const double fd = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4 * h * h);
             EXPECT_NEAR(D[idx2(i, j)], fd, 1e-5) << i << j;
         }
+    // Third derivatives: D3_ijk = d/dx_k D2_ij, by central differences of
+    // the (already checked) second-derivative block, for every pair i <= j
+    // and direction k — each of the 10 stored entries is reached along each
+    // of its distinct derivative directions.
+    for (int k = 0; k < 3; ++k) {
+        double xp[3] = {x0[0], x0[1], x0[2]};
+        double xm[3] = {x0[0], x0[1], x0[2]};
+        xp[k] += h;
+        xm[k] -= h;
+        expansion<double> Dp, Dm;
+        greens_d3(xp, xp[0] * xp[0] + xp[1] * xp[1] + xp[2] * xp[2], Dp);
+        greens_d3(xm, xm[0] * xm[0] + xm[1] * xm[1] + xm[2] * xm[2], Dm);
+        for (int i = 0; i < 3; ++i)
+            for (int j = i; j < 3; ++j) {
+                const double fd = (Dp[idx2(i, j)] - Dm[idx2(i, j)]) / (2 * h);
+                EXPECT_NEAR(D[idx3(i, j, k)], fd, 1e-8) << i << j << k;
+            }
+    }
 }
 
 TEST(Taylor, ThirdDerivativesAreTraceless) {
@@ -386,6 +404,79 @@ TEST(Taylor, StraightLineContractionsMatchLoopForm) {
     check_straight_line_contractions<double>(21);
     check_straight_line_contractions<simd::pack<double, 4>>(22);
     check_straight_line_contractions<simd::pack<double, 8>>(23);
+}
+
+// The straight-line Green's-function derivatives must equal the nested
+// loops they replaced bit for bit. The reference is that loop, kept
+// verbatim; it leaves the fusion of each delta term to -ffp-contract.
+template <class T>
+void loop_greens_d3(const T x[3], T r2, expansion<T>& out) {
+    using octo::simd::rsqrt;
+    const T rinv = rsqrt(r2);
+    const T rinv2 = rinv * rinv;
+    const T rinv3 = rinv * rinv2;
+    const T rinv5 = rinv3 * rinv2;
+    const T rinv7 = rinv5 * rinv2;
+
+    out[0] = rinv;
+    for (int i = 0; i < 3; ++i) out[1 + i] = -x[i] * rinv3;
+
+    const T three_rinv5 = T(3.0) * rinv5;
+    for (int i = 0; i < 3; ++i) {
+        for (int j = i; j < 3; ++j) {
+            T v = x[i] * x[j] * three_rinv5;
+            if (i == j) v = v - rinv3;
+            out[idx2(i, j)] = v;
+        }
+    }
+
+    const T m15_rinv7 = T(-15.0) * rinv7;
+    for (int i = 0; i < 3; ++i) {
+        for (int j = i; j < 3; ++j) {
+            for (int k = j; k < 3; ++k) {
+                T v = x[i] * x[j] * x[k] * m15_rinv7;
+                if (i == j) v = v + three_rinv5 * x[k];
+                if (j == k) v = v + three_rinv5 * x[i];
+                if (i == k && i != j) v = v + three_rinv5 * x[j];
+                else if (i == k && i == j) v = v + three_rinv5 * x[j];
+                out[idx3(i, j, k)] = v;
+            }
+        }
+    }
+}
+
+template <class T>
+void check_straight_line_greens(std::uint64_t seed) {
+    xoshiro256 rng(seed);
+    for (int trial = 0; trial < 400; ++trial) {
+        // Axis-aligned separations (every fourth trial at width 1, lane 0
+        // of a pack), of either sign; two equal components (every fifth
+        // trial at width 1); all negative (lane 1 of a pack); the rest
+        // mixed-sign.
+        T x[3];
+        const int axis = trial % 3;
+        const double sign = trial % 2 ? -1.0 : 1.0;
+        for (int e = 0; e < 3; ++e) {
+            x[e] = lanes_of<T>([&](int l) {
+                const bool on_axis = lanes<T> == 1 ? trial % 4 == 0 : l == 0;
+                if (on_axis) return e == axis ? sign * rng.uniform(0.5, 3) : 0.0;
+                if (lanes<T> == 1 && trial % 5 == 0 && e != axis) return -1.75;
+                if (l == 1) return -rng.uniform(0.5, 3);
+                return rng.uniform(-3, 3);
+            });
+        }
+        const T r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2];
+        expansion<T> ref, got;
+        loop_greens_d3(x, r2, ref);
+        greens_d3(x, r2, got);
+        for (int t = 0; t < n_taylor; ++t) expect_same_bits(ref[t], got[t], "greens", trial, t);
+    }
+}
+
+TEST(Taylor, GreensStraightLineMatchesLoopForm) {
+    check_straight_line_greens<double>(31);
+    check_straight_line_greens<simd::pack<double, 4>>(32);
+    check_straight_line_greens<simd::pack<double, 8>>(33);
 }
 
 // ---- solver -----------------------------------------------------------------

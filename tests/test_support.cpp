@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,6 +11,10 @@
 #include <set>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <unistd.h>
+#endif
 
 #include "simd/pack.hpp"
 #include "support/aligned.hpp"
@@ -218,6 +223,33 @@ TEST(BufferRecycler, ClearDropsParkedBuffers) {
     r.deallocate(q, bytes, 64);
     EXPECT_EQ(r.stats().misses - s0.misses, 1u); // pool really was emptied
     r.clear();
+}
+
+TEST(BufferRecycler, ReleasePagesKeepsBuffersParked) {
+    auto& r = octo::buffer_recycler::instance();
+    constexpr std::size_t bytes = 45'679 * 8; // several pages of any size
+    auto* p = static_cast<unsigned char*>(r.allocate(bytes, 64));
+    std::fill(p, p + bytes, static_cast<unsigned char>(0xab));
+    r.deallocate(p, bytes, 64);
+    const auto s0 = r.stats();
+
+    r.release_pages();
+    const auto s1 = r.stats();
+    EXPECT_EQ(s1.pooled_bytes, s0.pooled_bytes);
+    EXPECT_EQ(s1.misses, s0.misses);
+
+    auto* q = static_cast<unsigned char*>(r.allocate(bytes, 64));
+    EXPECT_EQ(q, p); // still parked, handed out as a hit
+    EXPECT_EQ(r.stats().hits - s1.hits, 1u);
+#ifdef __linux__
+    // The whole pages inside the buffer came back as fresh zero pages.
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const auto b = reinterpret_cast<std::uintptr_t>(q);
+    const std::size_t lo = ((b + page - 1) & ~(page - 1)) - b;
+    EXPECT_EQ(q[lo], 0u);
+    EXPECT_EQ(q[lo + page], 0u);
+#endif
+    r.deallocate(q, bytes, 64);
 }
 
 TEST(BufferRecycler, AlignedVectorRoundTripsThroughPool) {
