@@ -141,13 +141,13 @@ void simulation::write_periodic_checkpoint() {
     std::string path;
     if (full) {
         path = stem + ".ckpt";
-        io::write_checkpoint(tree_, path, {.time = time_, .steps = steps_});
-        ckpt_base_digests_ = io::leaf_digests(tree_);
+        ckpt_base_digests_ = io::write_checkpoint(
+            tree_, path, {.time = time_, .steps = steps_}, opt_.pool);
         ckpt_chain_ = {path};
     } else {
         path = stem + ".dckpt";
         io::write_checkpoint_delta(tree_, path, ckpt_base_digests_,
-                                   {.time = time_, .steps = steps_});
+                                   {.time = time_, .steps = steps_}, opt_.pool);
         // Deltas are base-relative: the newest one supersedes any earlier
         // delta, so the chain never grows past {full, delta}.
         ckpt_chain_.resize(1);

@@ -38,6 +38,10 @@
 
 #include "amr/tree.hpp"
 
+namespace octo::rt {
+class thread_pool;
+}
+
 namespace octo::io {
 
 /// Simulation state carried alongside the tree so a restart continues
@@ -52,13 +56,21 @@ struct checkpoint_data {
     checkpoint_meta meta;
 };
 
+/// Per-leaf content digests: leaf key -> CRC32 of its serialized field
+/// image (exactly the per-leaf CRCs a v3 full image records). This is the
+/// dirty-tracking state a writer holds between a full checkpoint and its
+/// deltas: a leaf whose digest changed is dirty.
+using leaf_digest_map = std::map<amr::node_key, std::uint32_t>;
+
 /// Serialize the tree structure (keys) and every leaf's interior field data
-/// (format v2: checksummed sections, atomic rename into place). Retries
+/// (format v3: checksummed sections, atomic rename into place). Retries
 /// transient write failures (including injected ones — support/fault.hpp) a
 /// bounded number of times before throwing; the destination file is only
-/// ever replaced by a fully written, checksummed image.
-void write_checkpoint(const amr::tree& t, const std::string& path,
-                      checkpoint_meta meta = {});
+/// ever replaced by a fully written, checksummed image. Returns the
+/// leaf_digests(t) it computed on `pool` (the global pool when null).
+leaf_digest_map write_checkpoint(const amr::tree& t, const std::string& path,
+                                 checkpoint_meta meta = {},
+                                 rt::thread_pool* pool = nullptr);
 
 /// Rebuild a tree from a checkpoint. The root geometry is restored from the
 /// file; field storage is allocated for every node that had data. Throws
@@ -72,13 +84,8 @@ checkpoint_data read_checkpoint_full(const std::string& path);
 
 // ---- incremental checkpoint deltas (ISSUE 10) -------------------------------
 
-/// Per-leaf content digests: leaf key -> CRC32 of its serialized field
-/// image (exactly the per-leaf CRCs a v3 full image records). This is the
-/// dirty-tracking state a writer holds between a full checkpoint and its
-/// deltas: a leaf whose digest changed is dirty.
-using leaf_digest_map = std::map<amr::node_key, std::uint32_t>;
-
-/// Compute the digests a v3 full image of `t` would carry.
+/// Compute the digests a v3 full image of `t` would carry, in parallel on
+/// the global pool.
 leaf_digest_map leaf_digests(const amr::tree& t);
 
 /// Identity of a base image: CRC32 over its sorted (key, digest) pairs.
@@ -103,10 +110,12 @@ struct delta_stats {
 /// Write an incremental checkpoint: only leaves of `t` whose image digest
 /// differs from `base` (plus the full tree structure, so regrids are
 /// handled). Same durability contract as write_checkpoint: temp file,
-/// bounded retry, atomic rename, per-section CRC32.
+/// bounded retry, atomic rename, per-section CRC32; one digest pass on
+/// `pool` finds the dirty leaves.
 delta_stats write_checkpoint_delta(const amr::tree& t, const std::string& path,
                                    const leaf_digest_map& base,
-                                   checkpoint_meta meta = {});
+                                   checkpoint_meta meta = {},
+                                   rt::thread_pool* pool = nullptr);
 
 /// Restore from a chain: chain[0] is a full image (any readable version),
 /// every later entry a delta bound to that base (later deltas supersede

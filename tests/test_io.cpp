@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "io/checkpoint.hpp"
 #include "io/writers.hpp"
 #include "runtime/apex.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -526,6 +528,297 @@ TEST(DeltaCheckpoint, DeltaFileIsRejectedWhereAFullImageIsExpected) {
     for (const auto* p : {&full, &delta}) std::remove(p->c_str());
 }
 
+/// `file` with its last leaf record repeated: the record count at
+/// `count_at` (inside the CRC'd header that starts at byte 12 and is
+/// `header_len` long) becomes 2 and every section CRC is recomputed, so
+/// only the repeated key is wrong. Expects exactly one record in `file`.
+std::vector<char> with_repeated_record(const std::vector<char>& file,
+                                       std::size_t header_len,
+                                       std::size_t nrefined_at,
+                                       std::size_t count_at) {
+    constexpr std::size_t header_at = 12; // magic + version
+    std::uint64_t nrefined = 0;
+    std::memcpy(&nrefined, file.data() + header_at + nrefined_at, 8);
+    const std::size_t records_at =
+        header_at + header_len + 4 + nrefined * sizeof(node_key) + 4;
+    const std::size_t record_len = file.size() - 4 - records_at;
+    EXPECT_EQ(record_len,
+              sizeof(node_key) + std::size_t{n_fields} * INX3 * 8 + 4);
+    std::vector<char> out(file.begin(), file.end() - 4);
+    out.insert(out.end(), file.begin() + static_cast<long>(records_at),
+               file.end() - 4);
+    const std::uint64_t two = 2;
+    std::memcpy(out.data() + header_at + count_at, &two, 8);
+    const std::uint32_t header_crc = crc32(out.data() + header_at, header_len);
+    std::memcpy(out.data() + header_at + header_len, &header_crc, 4);
+    const std::uint32_t records_crc =
+        crc32(out.data() + records_at, 2 * record_len);
+    const auto* c = reinterpret_cast<const char*>(&records_crc);
+    out.insert(out.end(), c, c + 4);
+    return out;
+}
+
+/// Runs `load` and expects the duplicate-key rejection, not another one.
+template <class Load>
+void expect_duplicate_key_rejected(Load&& load) {
+    try {
+        load();
+        ADD_FAILURE() << "a repeated leaf data key loaded silently";
+    } catch (const octo::error& e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate leaf data key"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(DeltaCheckpoint, RejectsARepeatedDirtyLeafKey) {
+    // Two records for one leaf, each with valid CRCs: neither may silently
+    // win, so the whole delta is refused.
+    tree t = make_test_tree();
+    const std::string full = "/tmp/octo_delta_dup_full.bin";
+    const std::string delta = "/tmp/octo_delta_dup_inc.bin";
+    io::write_checkpoint(t, full);
+    const auto base = io::leaf_digests(t);
+    t.ensure_fields(t.leaves_sfc()[0]).interior(f_rho, 0, 0, 0) += 1.0;
+    ASSERT_EQ(io::write_checkpoint_delta(t, delta, base).dirty_leaves, 1u);
+    // Delta header: time, steps, base_crc, nrefined, ndirty.
+    spit(delta, with_repeated_record(slurp(delta), 36, 20, 28));
+    expect_duplicate_key_rejected(
+        [&] { io::read_checkpoint_chain({full, delta}); });
+    for (const auto* p : {&full, &delta}) std::remove(p->c_str());
+}
+
+TEST(Checkpoint, RejectsARepeatedLeafDataKey) {
+    tree t(unit_root());
+    t.refine(root_key);
+    t.ensure_fields(key_child(root_key, 3)).interior(f_rho, 1, 2, 3) = 4.0;
+    const std::string path = "/tmp/octo_checkpoint_dup.bin";
+    io::write_checkpoint(t, path);
+    // Full header: origin x/y/z, dx, time, steps, nrefined, ndata.
+    spit(path, with_repeated_record(slurp(path), 64, 48, 56));
+    expect_duplicate_key_rejected([&] { io::read_checkpoint(path); });
+    std::remove(path.c_str());
+}
+
+// ---- byte identity against the per-double reference writer -----------------
+// The writers pack rows, digest leaves on the pool and derive section CRCs
+// by combine; the files must still be exactly what the straightforward
+// per-double writer below (the format's reference) produces.
+
+namespace ref {
+
+template <class T>
+void put(std::ofstream& out, const T& v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+template <class T>
+void put_crc(std::ofstream& out, crc32_accumulator& crc, const T& v) {
+    crc.update(&v, sizeof(T));
+    out.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+std::uint32_t leaf_image_crc(const subgrid& g) {
+    crc32_accumulator crc;
+    for (int f = 0; f < n_fields; ++f)
+        for (int i = 0; i < INX; ++i)
+            for (int j = 0; j < INX; ++j)
+                for (int kk = 0; kk < INX; ++kk) {
+                    const double v = g.interior(f, i, j, kk);
+                    crc.update(&v, sizeof v);
+                }
+    return crc.value();
+}
+
+io::leaf_digest_map leaf_digests(const tree& t) {
+    io::leaf_digest_map m;
+    for (const auto& level : t.levels()) {
+        for (const node_key k : level) {
+            if (!t.node(k).refined && t.node(k).fields != nullptr) {
+                m.emplace(k, leaf_image_crc(*t.node(k).fields));
+            }
+        }
+    }
+    return m;
+}
+
+void write_image(const tree& t, const io::checkpoint_meta& meta,
+                 const std::string& path) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    put(out, std::uint64_t{0x4f43544f53494d33ULL}); // "OCTOSIM3"
+    put(out, std::uint32_t{3});
+    std::vector<node_key> refined;
+    std::vector<node_key> with_data;
+    for (const auto& level : t.levels()) {
+        for (const node_key k : level) {
+            if (t.node(k).refined) refined.push_back(k);
+            if (!t.node(k).refined && t.node(k).fields != nullptr) {
+                with_data.push_back(k);
+            }
+        }
+    }
+    const auto& root = t.root_geometry();
+    crc32_accumulator crc;
+    put_crc(out, crc, root.origin.x);
+    put_crc(out, crc, root.origin.y);
+    put_crc(out, crc, root.origin.z);
+    put_crc(out, crc, root.dx);
+    put_crc(out, crc, meta.time);
+    put_crc(out, crc, static_cast<std::int64_t>(meta.steps));
+    put_crc(out, crc, static_cast<std::uint64_t>(refined.size()));
+    put_crc(out, crc, static_cast<std::uint64_t>(with_data.size()));
+    put(out, crc.value());
+    crc.reset();
+    for (const node_key k : refined) put_crc(out, crc, k);
+    put(out, crc.value());
+    crc.reset();
+    for (const node_key k : with_data) {
+        put_crc(out, crc, k);
+        const auto& g = *t.node(k).fields;
+        crc32_accumulator leaf;
+        for (int f = 0; f < n_fields; ++f)
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        const double v = g.interior(f, i, j, kk);
+                        leaf.update(&v, sizeof v);
+                        put_crc(out, crc, v);
+                    }
+        put_crc(out, crc, leaf.value());
+    }
+    put(out, crc.value());
+}
+
+void write_delta_image(const tree& t, const io::leaf_digest_map& base,
+                       const io::checkpoint_meta& meta,
+                       const std::string& path) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::vector<node_key> refined;
+    std::vector<std::pair<node_key, std::uint32_t>> dirty;
+    for (const auto& level : t.levels()) {
+        for (const node_key k : level) {
+            if (t.node(k).refined) {
+                refined.push_back(k);
+            } else if (t.node(k).fields != nullptr) {
+                const std::uint32_t digest = leaf_image_crc(*t.node(k).fields);
+                const auto it = base.find(k);
+                if (it == base.end() || it->second != digest) {
+                    dirty.emplace_back(k, digest);
+                }
+            }
+        }
+    }
+    put(out, std::uint64_t{0x4f43544f444c5433ULL}); // "OCTODLT3"
+    put(out, std::uint32_t{3});
+    crc32_accumulator crc;
+    put_crc(out, crc, meta.time);
+    put_crc(out, crc, static_cast<std::int64_t>(meta.steps));
+    put_crc(out, crc, io::digest_map_crc(base));
+    put_crc(out, crc, static_cast<std::uint64_t>(refined.size()));
+    put_crc(out, crc, static_cast<std::uint64_t>(dirty.size()));
+    put(out, crc.value());
+    crc.reset();
+    for (const node_key k : refined) put_crc(out, crc, k);
+    put(out, crc.value());
+    crc.reset();
+    for (const auto& [k, digest] : dirty) {
+        put_crc(out, crc, k);
+        const auto& g = *t.node(k).fields;
+        for (int f = 0; f < n_fields; ++f)
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        put_crc(out, crc, g.interior(f, i, j, kk));
+                    }
+        put_crc(out, crc, digest);
+    }
+    put(out, crc.value());
+}
+
+} // namespace ref
+
+/// Three levels, 100+ leaves: more leaves than the digest pass has chunks.
+tree make_deep_tree() {
+    tree t(unit_root());
+    t.refine(root_key);
+    for (int c = 0; c < 8; ++c) t.refine(key_child(root_key, c));
+    t.refine(key_child(key_child(root_key, 5), 2));
+    t.balance21();
+    xoshiro256 rng(2024);
+    for (const auto k : t.leaves_sfc()) {
+        auto& g = t.ensure_fields(k);
+        for (int f = 0; f < n_fields; ++f)
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        g.interior(f, i, j, kk) = rng.uniform(-1.0, 3.0);
+                    }
+    }
+    return t;
+}
+
+TEST(Checkpoint, FilesAreByteIdenticalToThePerDoubleReference) {
+    tree t = make_deep_tree();
+    const std::string full = "/tmp/octo_ident_full.bin";
+    const std::string full_ref = "/tmp/octo_ident_full_ref.bin";
+    const std::string delta = "/tmp/octo_ident_delta.bin";
+    const std::string delta_ref = "/tmp/octo_ident_delta_ref.bin";
+    const io::checkpoint_meta m1{.time = 0.75, .steps = 12};
+    const auto base = io::write_checkpoint(t, full, m1);
+    ref::write_image(t, m1, full_ref);
+    EXPECT_EQ(slurp(full), slurp(full_ref));
+    EXPECT_EQ(base, ref::leaf_digests(t));
+
+    // Regrid between base and delta: new children are dirty, one untouched
+    // leaf stays clean, one edited leaf is dirty.
+    const auto leaves = t.leaves_sfc();
+    t.refine(leaves[leaves.size() / 2]);
+    t.balance21();
+    xoshiro256 rng(5);
+    for (const node_key k : t.leaves_sfc()) {
+        if (t.node(k).fields != nullptr) continue;
+        auto& g = t.ensure_fields(k);
+        for (int f = 0; f < n_fields; ++f)
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        g.interior(f, i, j, kk) = rng.uniform(0.0, 1.0);
+                    }
+    }
+    t.ensure_fields(leaves[0]).interior(f_sx, 7, 0, 3) = -4.5;
+    const io::checkpoint_meta m2{.time = 1.25, .steps = 13};
+    const auto st = io::write_checkpoint_delta(t, delta, base, m2);
+    ref::write_delta_image(t, base, m2, delta_ref);
+    EXPECT_GT(st.dirty_leaves, 1u);
+    EXPECT_LT(st.dirty_leaves, st.total_leaves);
+    EXPECT_EQ(slurp(delta), slurp(delta_ref));
+
+    // The restored tree (its level order may differ) writes what the
+    // reference writes for it.
+    const auto ck = io::read_checkpoint_chain({full, delta});
+    expect_trees_equal(ck.t, t);
+    io::write_checkpoint(ck.t, full, m2);
+    ref::write_image(ck.t, m2, full_ref);
+    EXPECT_EQ(slurp(full), slurp(full_ref));
+    for (const auto* p : {&full, &full_ref, &delta, &delta_ref}) {
+        std::remove(p->c_str());
+    }
+}
+
+TEST(Checkpoint, ParallelDigestsMatchTheSerialReferenceOnAnyPool) {
+    const tree t = make_deep_tree();
+    const auto expected = ref::leaf_digests(t);
+    ASSERT_GT(expected.size(), 64u);
+    EXPECT_EQ(io::leaf_digests(t), expected);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        rt::thread_pool pool(workers);
+        const std::string path = "/tmp/octo_digest_pool.bin";
+        EXPECT_EQ(io::write_checkpoint(t, path, {}, &pool), expected)
+            << workers << " workers";
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Checkpoint, Version2FilesStayReadable) {
     // The v3 writer added per-leaf digests, but archived v2 restart files
     // must keep loading. Hand-craft a one-leaf v2 image (same section
@@ -579,6 +872,47 @@ TEST(Checkpoint, Version2FilesStayReadable) {
                     ASSERT_EQ(g.interior(f, i, j, kk), img[idx++]);
                 }
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, Version1FilesStayReadable) {
+    // v1: no checksums, no meta; a one-leaf image restores field by field
+    // and chains with a delta written against the restored tree.
+    const std::string path = "/tmp/octo_checkpoint_v1.bin";
+    const std::string delta = "/tmp/octo_checkpoint_v1_inc.bin";
+    std::vector<double> img(static_cast<std::size_t>(n_fields) * INX3);
+    for (std::size_t i = 0; i < img.size(); ++i) {
+        img[i] = 1.0 / (static_cast<double>(i) + 3.0);
+    }
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        auto put = [&](const auto& v) {
+            out.write(reinterpret_cast<const char*>(&v), sizeof v);
+        };
+        put(std::uint64_t{0x4f43544f53494d31ULL}); // "OCTOSIM1"
+        const box_geometry root = unit_root();
+        put(root.origin.x);
+        put(root.origin.y);
+        put(root.origin.z);
+        put(root.dx);
+        put(std::uint64_t{0}); // nrefined
+        put(std::uint64_t{1}); // ndata
+        put(root_key);
+        for (const double v : img) put(v);
+    }
+    const tree r = io::read_checkpoint(path);
+    ASSERT_EQ(r.leaf_count(), 1u);
+    const auto& g = *r.node(root_key).fields;
+    std::size_t idx = 0;
+    for (int f = 0; f < n_fields; ++f)
+        for (int i = 0; i < INX; ++i)
+            for (int j = 0; j < INX; ++j)
+                for (int kk = 0; kk < INX; ++kk) {
+                    ASSERT_EQ(g.interior(f, i, j, kk), img[idx++]);
+                }
+    tree t = make_test_tree();
+    io::write_checkpoint_delta(t, delta, io::leaf_digests(r));
+    expect_trees_equal(io::read_checkpoint_chain({path, delta}).t, t);
+    for (const auto* p : {&path, &delta}) std::remove(p->c_str());
 }
 
 } // namespace

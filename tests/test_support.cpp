@@ -1,5 +1,5 @@
 // Unit tests for the support layer: vec3, Morton keys, FLOP counters, RNG,
-// aligned storage, and the SIMD pack abstraction.
+// aligned storage, CRC-32, and the SIMD pack abstraction.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "simd/pack.hpp"
 #include "support/aligned.hpp"
 #include "support/buffer_recycler.hpp"
+#include "support/crc32.hpp"
 #include "support/flops.hpp"
 #include "support/morton.hpp"
 #include "support/rng.hpp"
@@ -355,6 +356,98 @@ TEST(Simd, MinMax) {
     dpack a(1.0), b(2.0);
     EXPECT_DOUBLE_EQ(octo::simd::max(a, b)[0], 2.0);
     EXPECT_DOUBLE_EQ(octo::simd::min(a, b)[0], 1.0);
+}
+
+// ---- CRC-32 -----------------------------------------------------------------
+
+/// The bytewise table loop slice-by-8 replaced, kept here as the reference.
+std::uint32_t crc32_bytewise(const void* data, std::size_t n,
+                             std::uint32_t seed = 0) {
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k) {
+            c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+        }
+        table[i] = c;
+    }
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    }
+    return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+    octo::xoshiro256 rng(seed);
+    std::vector<unsigned char> v(n);
+    for (auto& b : v) b = static_cast<unsigned char>(rng() >> 56);
+    return v;
+}
+
+TEST(Crc32, KnownAnswer) {
+    const char* check = "123456789";
+    EXPECT_EQ(octo::crc32(check, 9), 0xCBF43926u);
+    octo::crc32_accumulator acc;
+    acc.update(check, 9);
+    EXPECT_EQ(acc.value(), 0xCBF43926u);
+    EXPECT_EQ(octo::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
+    const auto buf = random_bytes(257 + 8, 11);
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t n = 0; n <= 257; ++n) {
+            const unsigned char* p = buf.data() + off;
+            ASSERT_EQ(octo::crc32(p, n), crc32_bytewise(p, n))
+                << "offset " << off << " length " << n;
+            // Chained seeds: continue from the CRC of a prefix.
+            const std::uint32_t seed = crc32_bytewise(buf.data(), off);
+            ASSERT_EQ(octo::crc32(p, n, seed), crc32_bytewise(p, n, seed))
+                << "seeded, offset " << off << " length " << n;
+        }
+    }
+}
+
+TEST(Crc32, AccumulatorChunkingDoesNotMatter) {
+    const auto buf = random_bytes(4099, 12);
+    const std::uint32_t whole = crc32_bytewise(buf.data(), buf.size());
+    octo::xoshiro256 rng(13);
+    for (int trial = 0; trial < 50; ++trial) {
+        octo::crc32_accumulator acc;
+        std::size_t pos = 0;
+        while (pos < buf.size()) {
+            const std::size_t n = std::min<std::size_t>(
+                buf.size() - pos, static_cast<std::size_t>(rng.below(97)));
+            acc.update(buf.data() + pos, n);
+            pos += n;
+        }
+        ASSERT_EQ(acc.value(), whole) << "trial " << trial;
+    }
+}
+
+TEST(Crc32, CombineEqualsTheCrcOfTheConcatenation) {
+    // 73 728 bytes is one checkpoint leaf image (18 fields x 8^3 doubles).
+    const auto buf = random_bytes(300 + 73728, 14);
+    for (const std::size_t len_a : {0u, 1u, 7u, 300u}) {
+        for (const std::size_t len_b : {0u, 1u, 4u, 8u, 13u, 256u, 73728u}) {
+            const unsigned char* a = buf.data();
+            const unsigned char* b = buf.data() + len_a;
+            const std::uint32_t crc_a = octo::crc32(a, len_a);
+            const std::uint32_t crc_b = octo::crc32(b, len_b);
+            const std::uint32_t joined = crc32_bytewise(a, len_a + len_b);
+            ASSERT_EQ(octo::crc32_combine(crc_a, crc_b, len_b), joined)
+                << "|a| " << len_a << " |b| " << len_b;
+            ASSERT_EQ(octo::crc32_combine_op(crc_a, crc_b,
+                                             octo::crc32_combine_gen(len_b)),
+                      joined);
+            octo::crc32_accumulator acc;
+            acc.update(a, len_a);
+            acc.combine(crc_b, octo::crc32_combine_gen(len_b));
+            ASSERT_EQ(acc.value(), joined);
+        }
+    }
 }
 
 // The kernel-template trick from paper §5.1: the same function template must
