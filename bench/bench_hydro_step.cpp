@@ -1,13 +1,8 @@
 // Step-to-step latency of the hydro solver on a deep AMR tree: SoA pencils
 // on simd::pack lanes (paper §4.3's stencil/SoA rewrite) driven by the
 // per-leaf pipeline (ghost fills / flux sweeps / refluxes / updates as
-// dependency-gated tasks, CFL folded in). Two configurations advance the
-// same tree:
-//
-//   vectorized : the fixed default pack width, untiled;
-//   autotuned  : width/tile picked by the autotune sweep (kernel/autotune).
-//
-// Both reuse recycled scratch, so steady-state steps report `misses 0`.
+// dependency-gated tasks, CFL folded in), at the build's pack width. It
+// reuses recycled scratch, so steady-state steps report `misses 0`.
 //
 // The tree is the level-14 analogue used for profiling: blob density refined
 // toward the domain center to level 5 (1273 nodes / 1114 leaves at INX = 8),
@@ -102,33 +97,15 @@ int main(int argc, char** argv) {
 
     std::printf("=== hydro::step latency (SoA-SIMD pencils, per-leaf "
                 "pipeline) ===\n\n");
-    auto& rec = buffer_recycler::instance();
-    run_result vec;
-
-    { // Fixed-default configuration: SoA/SIMD kernels at the default width.
-        auto t = make_scene(max_level);
-        std::printf("tree: %zu nodes, %zu leaves, max_level %d, %d steps\n\n",
-                    t.size(), t.leaf_count(), t.max_level(), steps);
-        rec.clear();
-        std::printf("--- vectorized (SoA pencils x%d lanes) ---\n",
-                    static_cast<int>(simd::default_width));
-        hydro::step_options opt;
-        opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
-        vec = run(t, opt, steps);
-    }
-
-    run_result tuned;
-    { // Autotuned width/tile (kernel/autotune.hpp): the first step sweeps the
-      // candidate geometries on a synthetic leaf (or warm-hits the cache
-      // bench_kernels seeded) and the remaining steps run the winner.
-        auto t = make_scene(max_level);
-        rec.clear();
-        std::printf("\n--- autotuned (width/tile from the autotune cache) ---\n");
-        hydro::step_options opt;
-        opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
-        opt.autotune = true;
-        tuned = run(t, opt, steps);
-    }
+    auto t = make_scene(max_level);
+    std::printf("tree: %zu nodes, %zu leaves, max_level %d, %d steps\n\n",
+                t.size(), t.leaf_count(), t.max_level(), steps);
+    buffer_recycler::instance().clear();
+    std::printf("--- vectorized (SoA pencils x%d lanes) ---\n",
+                static_cast<int>(simd::default_width));
+    hydro::step_options opt;
+    opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
+    const run_result vec = run(t, opt, steps);
 
     const auto& apex = rt::apex_registry::instance();
     std::printf("\napex counters: hydro.stage_tasks=%llu  hydro.cfl_tasks=%llu"
@@ -145,21 +122,5 @@ int main(int argc, char** argv) {
                 "steady[ms]");
     std::printf("%-42s %12.3f %12.3f\n", "vectorized (default width)",
                 vec.first_ms, vec.steady_ms);
-    std::printf("%-42s %12.3f %12.3f\n", "autotuned width/tile", tuned.first_ms,
-                tuned.steady_ms);
-    if (steps > 1) {
-        std::printf("\nautotuned / vectorized steady step: %.2fx\n",
-                    tuned.steady_ms / vec.steady_ms);
-        // The tuned geometry can never MEASURE worse than the default during
-        // the sweep (the default is the first candidate); full-step wall time
-        // is noisier, so allow 15% before calling it a regression.
-        if (tuned.steady_ms > vec.steady_ms * 1.15) {
-            std::printf("FAIL: autotuned steady step slower than the fixed "
-                        "default\n");
-            return 1;
-        }
-    } else {
-        std::printf("\nsteady-state comparison: n/a (need >= 2 steps)\n");
-    }
     return 0;
 }

@@ -1,13 +1,13 @@
-// Autotune sweep driver for the portable kernel layer (ISSUE 7): measures
-// every candidate launch geometry of the hot kernels on THIS host — the FMM
-// same-level monopole/multipole kernels and the hydro flux sweep, each the
-// ONE templated body of src/kernel instantiated per execution-space policy —
-// plus the aggregation-batch sweep on the simulated Table 2/3 machine
-// models. Winners are stored in the persistent autotune cache
-// (kernel/autotune.hpp), so production runs with `autotune = true` start at
-// the tuned geometry; per-(kernel, backend, width/tile) GFLOP/s land in
-// BENCH_kernels.json. Exits nonzero if any tuned configuration loses to the
-// fixed default it replaces.
+// Portable kernel layer bench: measures the hot kernels on THIS host at the
+// two geometries each is compiled at — the width-1 reference and the
+// build's pack width (the default) — for the FMM same-level
+// monopole/multipole kernels and the hydro flux sweep, each the ONE
+// templated body of src/kernel. Then sweeps the offload aggregation batch
+// and flush timeout on the simulated Table 2/3 machine models and stores
+// the winners in the persistent autotune cache (kernel/autotune.hpp), so
+// runs with `autotune = true` start at the tuned batch. Per-(kernel,
+// backend, width) GFLOP/s land in BENCH_kernels.json. Exits nonzero if a
+// tuned batch or flush timeout loses to the default it replaces.
 
 #include <algorithm>
 #include <cmath>
@@ -70,8 +70,8 @@ partner_buffer make_buffer(bool with_quadrupoles) {
 }
 
 /// Synthetic fully-filled leaf for the hydro sweep (every cell physical, so
-/// no kernel branch sees garbage) — the same shape hydro::step tunes on.
-const amr::subgrid& tuning_leaf() {
+/// no kernel branch sees garbage) — the agreement tests' fixture.
+const amr::subgrid& bench_leaf() {
     using namespace octo::amr;
     static const subgrid leaf = [] {
         subgrid g;
@@ -111,8 +111,7 @@ const amr::subgrid& tuning_leaf() {
 // ---- measurement -----------------------------------------------------------
 
 /// GFLOP/s of `body` (one call = `flops_per_call`): one warm-up call, then
-/// enough timed reps to cover ~20 ms so the figure is stable across
-/// candidates — which is all the argmax needs.
+/// enough timed reps to cover ~20 ms so the figure is stable.
 double measure_gflops(double flops_per_call, const std::function<void()>& body) {
     body(); // warm-up: first touch + icache
     octo::stopwatch sw;
@@ -125,69 +124,36 @@ double measure_gflops(double flops_per_call, const std::function<void()>& body) 
     return static_cast<double>(reps) * flops_per_call / secs / 1e9;
 }
 
-struct sweep_outcome {
-    kernel::tuned_config best;
-    double default_gflops = 0.0;
-};
-
-/// Sweep width x tile for one CPU kernel, print/emit every candidate, store
-/// the winner in the cache under (machine="host", key, simd). The fixed
-/// default (full pack width, untiled) is measured FIRST and ties keep the
-/// earlier candidate, so tuned >= default by construction.
-sweep_outcome host_sweep(const std::string& key, double flops_per_call,
-                         const std::vector<int>& tiles, json_value& rows,
-                         const std::function<void(const kernel::exec_config&)>& run) {
-    const int def_w = static_cast<int>(simd::default_width);
-    std::vector<kernel::tuned_config> cands;
-    for (const int w : {def_w, 4, 2, 1}) {
-        for (const int tile : tiles) {
-            kernel::tuned_config c;
-            c.width = w;
-            c.tile = tile;
-            cands.push_back(c);
-        }
-    }
-    sweep_outcome out;
-    bool have_best = false;
-    for (auto& c : cands) {
-        const kernel::exec_config cfg = c.exec();
-        c.gflops = measure_gflops(flops_per_call, [&] { run(cfg); });
-        const bool is_default = c.width == def_w && c.tile == 0;
-        if (is_default) out.default_gflops = c.gflops;
-        if (!have_best || c.gflops > out.best.gflops) {
-            out.best = c;
-            have_best = true;
-        }
-        std::printf("  %-18s %-7s w=%d tile=%-3d %9.2f GFLOP/s%s\n", key.c_str(),
-                    "simd", c.width, c.tile, c.gflops, is_default ? "  (default)" : "");
+/// Measure one CPU kernel at both compiled geometries and print/emit a row
+/// for each; the pack width is the default every run uses.
+void host_rows(const std::string& key, double flops_per_call, json_value& rows,
+               const std::function<void(bool)>& run) {
+    for (const bool vectorized : {true, false}) {
+        const int width = vectorized ? static_cast<int>(simd::default_width) : 1;
+        const double gf = measure_gflops(flops_per_call, [&] { run(vectorized); });
+        std::printf("  %-18s %-7s w=%d %9.2f GFLOP/s%s\n", key.c_str(),
+                    vectorized ? "simd" : "scalar", width, gf,
+                    vectorized ? "  (default)" : "");
         rows.push(json_value::object()
                       .add("kernel", key)
-                      .add("backend", "simd")
-                      .add("width", c.width)
-                      .add("tile", c.tile)
-                      .add("gflops", c.gflops)
-                      .add("is_default", is_default));
+                      .add("backend", vectorized ? "simd" : "scalar")
+                      .add("width", width)
+                      .add("gflops", gf)
+                      .add("is_default", vectorized));
     }
-
-    kernel::global_autotune().store("host", key, kernel::backend_kind::simd,
-                                    out.best);
-    std::printf("  -> tuned: w=%d tile=%d (%.2f GFLOP/s vs %.2f default, %+.1f%%)\n\n",
-                out.best.width, out.best.tile, out.best.gflops, out.default_gflops,
-                100.0 * (out.best.gflops / out.default_gflops - 1.0));
-    return out;
+    std::printf("\n");
 }
 
 } // namespace
 
 int main() {
-    std::printf("=== portable-kernel autotune sweep (ISSUE 7) ===\n\n");
+    std::printf("=== portable kernels + offload autotune sweep ===\n\n");
     std::printf("cache: %s\n\n", kernel::global_autotune().path().c_str());
 
     json_value rows = json_value::array();
-    json_value tuned = json_value::array();
     bool ok = true;
 
-    // ---- host sweeps: FMM same-level kernels --------------------------------
+    // ---- host: FMM same-level kernels ---------------------------------------
     const auto mono_mom = make_moments(false);
     const auto mono_buf = make_buffer(false);
     const auto multi_mom = make_moments(true);
@@ -198,60 +164,35 @@ int main() {
     kernel_options opt;
     opt.stencil = &interaction_stencil();
 
-    std::printf("host: FMM monopole (receiver-row tiles)\n");
-    const auto mono = host_sweep(
-        "fmm.monopole", static_cast<double>(mono_kernel_flops()), {0, 8, 16, 32},
-        rows, [&](const kernel::exec_config& cfg) {
-            kernel::run_fmm_monopole(cfg, mono_mom, mono_buf, opt, out);
-        });
+    std::printf("host: FMM monopole\n");
+    host_rows("fmm.monopole", static_cast<double>(mono_kernel_flops()), rows,
+              [&](bool vectorized) {
+                  kernel::run_fmm_monopole(vectorized, mono_mom, mono_buf, opt, out);
+              });
 
     std::printf("host: FMM multipole\n");
     kernel_options mopt = opt;
     mopt.use_inner_mask = true;
-    const auto multi = host_sweep(
-        "fmm.multipole", static_cast<double>(multi_kernel_flops(true)),
-        {0, 8, 16, 32}, rows, [&](const kernel::exec_config& cfg) {
-            kernel::run_fmm_multipole(cfg, multi_mom, invm, multi_buf, mopt, out);
-        });
+    host_rows("fmm.multipole", static_cast<double>(multi_kernel_flops(true)), rows,
+              [&](bool vectorized) {
+                  kernel::run_fmm_multipole(vectorized, multi_mom, invm, multi_buf,
+                                            mopt, out);
+              });
 
-    // ---- host sweep: hydro flux sweep (transverse-lane tiles) ---------------
-    std::printf("host: hydro flux sweep (transverse-lane tiles)\n");
+    // ---- host: hydro flux sweep ----------------------------------------------
+    std::printf("host: hydro flux sweep\n");
     const phys::ideal_gas_eos eos;
     hydro::pencil_workspace ws;
     hydro::leaf_flux_soa lf;
     lf.reset();
     double ms = 0.0;
     const double sweep_flops = 3.0 * amr::INX3 * 400.0; // modeled, per 3-axis pass
-    const auto hyd = host_sweep(
-        "hydro.leaf_fluxes", sweep_flops, {0, 16, 32}, rows,
-        [&](const kernel::exec_config& cfg) {
-            for (int axis = 0; axis < 3; ++axis) {
-                kernel::run_leaf_fluxes(cfg, tuning_leaf(), axis, eos, true, ws,
-                                        lf, &ms);
-            }
-        });
-
-    struct named_outcome {
-        const char* key;
-        const sweep_outcome* o;
-    };
-    for (const auto& [key, o] : {named_outcome{"fmm.monopole", &mono},
-                                 named_outcome{"fmm.multipole", &multi},
-                                 named_outcome{"hydro.leaf_fluxes", &hyd}}) {
-        tuned.push(json_value::object()
-                       .add("kernel", key)
-                       .add("machine", "host")
-                       .add("backend", "simd")
-                       .add("width", o->best.width)
-                       .add("tile", o->best.tile)
-                       .add("gflops", o->best.gflops)
-                       .add("default_gflops", o->default_gflops)
-                       .add("speedup", o->best.gflops / o->default_gflops));
-        if (o->best.gflops < o->default_gflops) {
-            std::printf("FAIL: tuned %s loses to the fixed default\n", key);
-            ok = false;
+    host_rows("hydro.leaf_fluxes", sweep_flops, rows, [&](bool vectorized) {
+        for (int axis = 0; axis < 3; ++axis) {
+            kernel::run_leaf_fluxes(vectorized, bench_leaf(), axis, eos, true, ws, lf,
+                                    &ms);
         }
-    }
+    });
 
     // ---- per-machine-model aggregation-batch sweep --------------------------
     // The gpu_batch knob feeds the PR-6 aggregation executor; on the modeled
@@ -345,14 +286,10 @@ int main() {
         }
 
         kernel::tuned_config tc;
-        tc.backend = kernel::backend_kind::gpu;
-        tc.width = 1;
-        tc.tile = 0;
         tc.gpu_batch = best_batch;
         tc.flush_us = best_flush;
         tc.gflops = best_flush_gf;
-        kernel::global_autotune().store(mc.key, "fmm.same_level",
-                                        kernel::backend_kind::gpu, tc);
+        kernel::global_autotune().store(mc.key, "fmm.same_level", tc);
         std::printf("  -> tuned: batch=%u (%.1f GFLOP/s vs %.1f default, %+.1f%%), "
                     "flush=%.0fus (%+.1f%%)\n\n",
                     best_batch, best_gf, def_gf,
@@ -392,7 +329,6 @@ int main() {
     root.add("bench", "kernels")
         .add("cache", kernel::global_autotune().path())
         .add("host_sweep", rows)
-        .add("tuned", tuned)
         .add("machines", jmachines)
         .add("tuned_beats_default", ok);
     octo::support::write_bench_json("BENCH_kernels.json", root);

@@ -7,37 +7,6 @@
 
 namespace octo::amr {
 
-cost_params cost_params_from_apex(cost_params base) {
-    auto& apex = rt::apex_registry::instance();
-    // FMM-vs-hydro task mix: fmm.dag_tasks counts every kernel node of the
-    // gravity DAG, hydro.stage_tasks every futurized hydro stage task. When
-    // the FMM dominates the measured mix, interior (multipole) work is worth
-    // proportionally more than the leaf base cost.
-    const auto fmm_tasks = apex.counter("fmm.dag_tasks");
-    const auto hydro_tasks = apex.counter("hydro.stage_tasks");
-    if (fmm_tasks > 0 && hydro_tasks > 0) {
-        const double mix = static_cast<double>(fmm_tasks) /
-                           static_cast<double>(hydro_tasks);
-        base.multipole_cost *= std::clamp(mix, 0.25, 4.0);
-    }
-    // Halo traffic rate: the per-parcel software cost grows with protocol
-    // work (retries resend full payloads). Scale the halo term by the
-    // observed retransmission overhead ratio.
-    const auto sent = apex.counter("net.parcels_sent");
-    const auto retries = apex.counter("net.retries");
-    if (sent > 0) {
-        base.halo_pair_cost *=
-            1.0 + static_cast<double>(retries) / static_cast<double>(sent);
-    }
-    // GPU aggregation: dense batches amortize launches; when the measured
-    // mean batch is small, per-kernel offload costs more per subgrid.
-    const auto batch = apex.counter("gpu.batch_size");
-    if (batch > 0) {
-        base.monopole_cost *= 1.0 + 1.0 / static_cast<double>(batch);
-    }
-    return base;
-}
-
 cost_model::cost_model(cost_params p) : p_(p) {
     OCTO_ASSERT(p_.ewma_alpha > 0.0 && p_.ewma_alpha <= 1.0);
 }

@@ -13,7 +13,8 @@
 //                by the partitioner's placement rule)
 //              + halo_pair_cost per cross-rank same-level neighbor pair
 //                incident on the leaf (ghost-fill traffic)
-//   all scaled by an APEX-derived rate calibration.
+//   with the fixed weights of cost_params: a structural estimate, not
+//   calibrated from measured counters or timers.
 //
 // Samples are folded into a per-leaf EWMA so a single noisy step cannot
 // thrash the partition: after one observation of a transient 2x spike, the
@@ -44,13 +45,6 @@ struct cost_params {
     /// smoother; 1.0 trusts the latest step entirely.
     double ewma_alpha = 0.3;
 };
-
-/// Derive cost parameters from the live APEX counters: the multipole/
-/// monopole ratio follows the measured FMM DAG vs hydro stage task mix, and
-/// the halo term follows the reliability-protocol traffic. Counters at zero
-/// (e.g. before any instrumented step ran) keep the defaults — the model
-/// degrades to the structural estimate, never to garbage.
-cost_params cost_params_from_apex(cost_params base = {});
 
 class cost_model {
   public:

@@ -144,17 +144,4 @@ dvec3 interior_angular_momentum(const subgrid& g) {
     return L;
 }
 
-dvec3 interior_momentum(const subgrid& g) {
-    dvec3 P{0, 0, 0};
-    const double V = g.geom.cell_volume();
-    for (int i = 0; i < INX; ++i)
-        for (int j = 0; j < INX; ++j)
-            for (int k = 0; k < INX; ++k) {
-                P += dvec3{g.interior(f_sx, i, j, k), g.interior(f_sy, i, j, k),
-                           g.interior(f_sz, i, j, k)} *
-                     V;
-            }
-    return P;
-}
-
 } // namespace octo::amr

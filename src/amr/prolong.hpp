@@ -32,7 +32,4 @@ void prolong_from_parent(const subgrid& parent, int octant, subgrid& child,
 /// sum of V * (r x s + l). Used by conservation tests.
 dvec3 interior_angular_momentum(const subgrid& g);
 
-/// Linear momentum of the interior: sum of V * s.
-dvec3 interior_momentum(const subgrid& g);
-
 } // namespace octo::amr

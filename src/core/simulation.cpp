@@ -86,8 +86,6 @@ double simulation::advance() {
     h.pool = opt_.pool;
     h.vectorized = opt_.vectorized;
     h.aggregator = gravity_.executor();
-    h.autotune = opt_.autotune;
-    h.machine = opt_.machine;
     if (opt_.self_gravity) {
         // Gravity is (re)solved before EVERY RK stage so the source terms
         // act on exactly the density the FMM saw — this is what closes the

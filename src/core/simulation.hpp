@@ -25,11 +25,12 @@ namespace octo::core {
 
 /// Cost-driven dynamic load balancing (ISSUE 8). With `ranks > 0` the
 /// driver maintains an SFC partition of the tree across that many modeled
-/// ranks: every step feeds the APEX-calibrated cost model, and every
-/// `every_steps` steps the split points are nudged toward the weighted ideal
-/// under the bounded-migration constraint. Owner labels never influence the
-/// numerics — a balanced run is bit-identical to an unbalanced one; what
-/// changes is WHERE each subgrid's work is modeled/executed.
+/// ranks: every step feeds the structural cost model (amr/cost_model.hpp),
+/// and every `every_steps` steps the split points are nudged toward the
+/// weighted ideal under the bounded-migration constraint. Owner labels never
+/// influence the numerics — a balanced run is bit-identical to an
+/// unbalanced one; what changes is WHERE each subgrid's work is
+/// modeled/executed.
 struct lb_options {
     int ranks = 0;        ///< 0 disables load balancing entirely
     long every_steps = 1; ///< rebalance cadence (steps)
@@ -51,9 +52,9 @@ struct sim_options {
     dvec3 omega{0, 0, 0};          ///< rotating-frame angular velocity
     bool vectorized = true;        ///< SIMD FMM + hydro kernels; false = width 1
     rt::thread_pool* pool = nullptr;
-    /// Autotuned launch geometry (kernel/autotune.hpp): hydro sweeps its
-    /// width/tile at first use; FMM and the aggregation batch are lookup-only
-    /// (seeded by bench_kernels). Off = the fixed defaults everywhere.
+    /// Look up the gravity solver's offload batch size and flush timeout in
+    /// the autotune cache (kernel/autotune.hpp, seeded by bench_kernels).
+    /// Off = the fixed defaults. Never changes the results' bits.
     bool autotune = false;
     std::string machine = "host";  ///< autotune cache machine key
     lb_options lb{};               ///< dynamic load balancing (off by default)
@@ -163,7 +164,6 @@ class simulation {
     /// execute.
     const amr::rebalance_result& last_rebalance() const { return last_rebalance_; }
     long rebalance_count() const { return rebalances_; }
-    const amr::cost_model& load_model() const { return lb_cost_; }
 
     // ---- elastic recovery (ISSUE 10) ---------------------------------------
 

@@ -23,40 +23,23 @@ using amr::tree;
 
 solver::solver(options o)
     : opt_(o), pool_(o.pool != nullptr ? o.pool : &rt::thread_pool::global()) {
-    // Launch geometry: SIMD width/tile of the same-level kernels and the
-    // private executor's fused-batch size and flush timeout. Lookup-only
-    // autotuning: a tuned entry (seeded by bench_kernels or a prior run)
-    // overrides the defaults; a cache miss keeps them.
-    const auto base = opt_.vectorized
-                          ? kernel::exec_config{}
-                          : kernel::exec_config{kernel::backend_kind::scalar, 1, 0};
-    mono_cfg_ = base;
-    multi_cfg_ = base;
-    gpu::aggregator_options ao;
-    if (opt_.autotune) {
-        auto& cache = kernel::global_autotune();
-        if (opt_.vectorized) {
-            if (auto tc = cache.lookup(opt_.machine, "fmm.monopole",
-                                       kernel::backend_kind::simd)) {
-                mono_cfg_ = tc->exec();
-            }
-            if (auto tc = cache.lookup(opt_.machine, "fmm.multipole",
-                                       kernel::backend_kind::simd)) {
-                multi_cfg_ = tc->exec();
-            }
-        }
-        if (auto tc = cache.lookup(opt_.machine, "fmm.same_level",
-                                   kernel::backend_kind::gpu)) {
-            ao.max_batch = std::max(1u, tc->gpu_batch);
-            ao.flush_after_us = tc->flush_us;
-        }
-    }
     // One launch point for all offload (the Kokkos/HPX lesson of
     // arXiv:2210.06439): an externally provided executor wins; otherwise a
     // device implies a private single-device executor.
     if (opt_.aggregator != nullptr) {
         agg_ = opt_.aggregator;
     } else if (opt_.device != nullptr) {
+        // Its fused-batch size and flush timeout. Lookup-only autotuning: a
+        // tuned entry (seeded by bench_kernels) overrides the defaults; a
+        // cache miss keeps them.
+        gpu::aggregator_options ao;
+        if (opt_.autotune) {
+            if (auto tc = kernel::global_autotune().lookup(opt_.machine,
+                                                           "fmm.same_level")) {
+                ao.max_batch = std::max(1u, tc->gpu_batch);
+                ao.flush_after_us = tc->flush_us;
+            }
+        }
         own_agg_ = std::make_unique<gpu::aggregator>(*opt_.device, ao);
         agg_ = own_agg_.get();
     }
@@ -233,8 +216,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     // Launch one kernel per non-empty partner class. GPU offload follows the
     // paper's policy (§5.1): hand the kernels to the device if it accepts
     // them, otherwise the launching thread runs them itself. Either way they
-    // run through the solver's resolved launch geometry (scalar/SIMD width +
-    // receiver-row tile, possibly autotuned).
+    // run the kernel instantiation opt_.vectorized selects.
     struct launch_spec {
         kernel_class kc;
         bool monopole_math; // both sides leaves: the cheap kernel
@@ -306,13 +288,13 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
         };
         auto batch =
             std::make_shared<std::vector<launch_spec>>(std::move(launches));
-        item.kernel = [&self_mom, &self_invm, &out, batch, mono_cfg = mono_cfg_,
-                       multi_cfg = multi_cfg_](const double*) {
+        item.kernel = [&self_mom, &self_invm, &out, batch,
+                       vectorized = opt_.vectorized](const double*) {
             for (const auto& s : *batch) {
                 if (s.monopole_math) {
-                    kernel::run_fmm_monopole(mono_cfg, self_mom, *s.buf, s.opt, out);
+                    kernel::run_fmm_monopole(vectorized, self_mom, *s.buf, s.opt, out);
                 } else {
-                    kernel::run_fmm_multipole(multi_cfg, self_mom, self_invm,
+                    kernel::run_fmm_multipole(vectorized, self_mom, self_invm,
                                               *s.buf, s.opt, out);
                 }
             }
@@ -328,9 +310,9 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     for (auto& s : launches) {
         count_launch(s.kc, exec_site::cpu);
         if (s.monopole_math) {
-            kernel::run_fmm_monopole(mono_cfg_, self_mom, *s.buf, s.opt, out);
+            kernel::run_fmm_monopole(opt_.vectorized, self_mom, *s.buf, s.opt, out);
         } else {
-            kernel::run_fmm_multipole(multi_cfg_, self_mom, self_invm, *s.buf,
+            kernel::run_fmm_multipole(opt_.vectorized, self_mom, self_invm, *s.buf,
                                       s.opt, out);
         }
         count_flops(s.kc, exec_site::cpu, s.flops);

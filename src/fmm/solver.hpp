@@ -21,7 +21,6 @@
 #include "fmm/kernels.hpp"
 #include "gpu/aggregator.hpp"
 #include "gpu/device.hpp"
-#include "kernel/exec.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace octo::fmm {
@@ -38,10 +37,11 @@ struct solver_options {
     /// and `device` is set, the solver owns a private single-device
     /// aggregator — all offload goes through one launch point either way.
     gpu::aggregator* aggregator = nullptr;
-    /// Consult the autotune cache (kernel/autotune.hpp) for tuned launch
-    /// geometry — SIMD width/tile for the CPU kernels, fused-batch size for
-    /// the GPU path — under the given machine key. Lookup-only: the solver
-    /// never sweeps; benches/apps seed the cache. A miss keeps the defaults.
+    /// Consult the autotune cache (kernel/autotune.hpp) for the private
+    /// executor's fused-batch size and flush timeout (key "fmm.same_level")
+    /// under the given machine key. Lookup-only: the solver never sweeps;
+    /// bench_kernels seeds the cache. A miss keeps the defaults. Neither
+    /// value changes the results' bits.
     bool autotune = false;
     std::string machine = "host";     ///< autotune cache machine key
 };
@@ -106,10 +106,6 @@ class solver {
 
     options opt_;
     rt::thread_pool* pool_;
-    /// CPU launch geometry for the two same-level kernels (resolved once in
-    /// the constructor from opt_.vectorized and, when autotuning, the cache).
-    kernel::exec_config mono_cfg_;
-    kernel::exec_config multi_cfg_;
     gpu::aggregator* agg_ = nullptr; ///< offload launch point (null = CPU only)
     std::unordered_map<amr::node_key, node_moments> moments_;
     std::unordered_map<amr::node_key, node_gravity> gravity_;

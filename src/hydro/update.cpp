@@ -12,13 +12,11 @@
 
 #include "gpu/aggregator.hpp"
 #include "hydro/pencil.hpp"
-#include "kernel/autotune.hpp"
 #include "kernel/hydro.hpp"
 #include "runtime/apex.hpp"
 #include "runtime/future.hpp"
 #include "support/aligned.hpp"
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace octo::hydro {
 
@@ -31,8 +29,6 @@ namespace {
 constexpr std::uint64_t flux_sweep_flops =
     static_cast<std::uint64_t>(amr::INX3) * 400;
 
-constexpr int W = static_cast<int>(simd::default_width);
-
 /// Cell (i,j,k) from axis-ordered (p, b, c).
 void axis_cell(int axis, int p, int b, int c, int& i, int& j, int& k) {
     switch (axis) {
@@ -42,20 +38,15 @@ void axis_cell(int axis, int p, int b, int c, int& i, int& j, int& k) {
     }
 }
 
-/// Launch geometry of the portable hydro kernels (src/kernel) for these
-/// options, resolved once per step/cfl_timestep call (defined with the
-/// autotuning sweep below).
-kernel::exec_config resolve_exec(const step_options& opt);
-
 /// One leaf's flux sweep along `axis` through the portable kernel layer
-/// (gather + primitives + reconstruction + KT flux, at the step's launch
-/// geometry).
-void compute_axis_fluxes(const subgrid& g, int axis,
-                         const kernel::exec_config& cfg,
-                         const step_options& opt, leaf_flux_soa& out) {
+/// (gather + primitives + reconstruction + KT flux, at the width
+/// opt.vectorized selects).
+void compute_axis_fluxes(const subgrid& g, int axis, const step_options& opt,
+                         leaf_flux_soa& out) {
     double ms = 0.0; // diagnostic only; dt comes from the CFL reduction
     pencil_workspace ws; // recycled
-    kernel::run_leaf_fluxes(cfg, g, axis, opt.eos, opt.use_ppm, ws, out, &ms);
+    kernel::run_leaf_fluxes(opt.vectorized, g, axis, opt.eos, opt.use_ppm, ws, out,
+                            &ms);
 }
 
 // ---- reflux ----------------------------------------------------------------
@@ -269,7 +260,7 @@ void save_u0(const subgrid& g, aligned_vector<double>& v) {
 /// The full per-leaf update (flux divergence, reflux moments, sources, RK
 /// blend, dual-energy bookkeeping + floors).
 void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
-                 const kernel::exec_config& cfg, const step_options& opt,
+                 const step_options& opt,
                  const std::vector<const reflux_entry*>& refl,
                  const aligned_vector<double>* u0) {
     const bool need_sources =
@@ -278,19 +269,18 @@ void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
     aligned_vector<dvec3> old_s;
     if (need_sources) snapshot_sources(g, old_rho, old_s);
 
-    kernel::run_flux_divergence(cfg, g, lf, dt);
+    kernel::run_flux_divergence(opt.vectorized, g, lf, dt);
     for (const reflux_entry* e : refl) apply_reflux_moments(g, *e, dt);
     if (need_sources) apply_sources(g, k, opt, dt, old_rho, old_s);
-    if (u0 != nullptr) kernel::run_blend(cfg, g, *u0);
+    if (u0 != nullptr) kernel::run_blend(opt.vectorized, g, *u0);
     // Dual-energy bookkeeping + floors after the blend so the committed
     // state is consistent.
-    kernel::run_dual_energy(cfg, g, opt.eos);
+    kernel::run_dual_energy(opt.vectorized, g, opt.eos);
 }
 
 } // namespace
 
 double cfl_timestep(tree& t, const step_options& opt) {
-    const kernel::exec_config cfg = resolve_exec(opt);
     fill_all_ghosts(t, opt.bc);
     rt::thread_pool& pool =
         opt.pool != nullptr ? *opt.pool : rt::thread_pool::global();
@@ -301,9 +291,9 @@ double cfl_timestep(tree& t, const step_options& opt) {
         fs.reserve(leaves.size());
         for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
             fs.push_back(
-                rt::async(pool, [&t, &opt, &speeds, &leaves, cfg, idx] {
+                rt::async(pool, [&t, &opt, &speeds, &leaves, idx] {
                     speeds[idx] = kernel::run_wave_speed(
-                        cfg, *t.node(leaves[idx]).fields, opt.eos);
+                        opt.vectorized, *t.node(leaves[idx]).fields, opt.eos);
                 }));
         }
         rt::apex_count("hydro.cfl_tasks", leaves.size());
@@ -356,8 +346,7 @@ const void* flux_region(const leaf_flux_soa* f, int axis) {
     return reinterpret_cast<const char*>(f) + 1 + axis;
 }
 
-double step_pipeline(tree& t, const step_options& opt,
-                     const kernel::exec_config& cfg, rt::thread_pool& pool) {
+double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
     // Serial prologue: plan acquisition (allocates refined-node storage so no
     // task mutates the tree) and the pure-structure task lists.
     const ghost_plan& gp = acquire_ghost_plan(t, opt.bc);
@@ -426,11 +415,11 @@ double step_pipeline(tree& t, const step_options& opt,
         for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
             const node_key k = leaves[idx];
             dxs[idx] = ctx.at(k).g->geom.dx;
-            cfs.push_back(rt::async(pool, [&ctx, &opt, cfg, speeds, idx, k] {
+            cfs.push_back(rt::async(pool, [&ctx, &opt, speeds, idx, k] {
                 sanitize::region_read(interior_region(ctx.at(k).g),
                                       "hydro.interior");
                 (*speeds)[idx] =
-                    kernel::run_wave_speed(cfg, *ctx.at(k).g, opt.eos);
+                    kernel::run_wave_speed(opt.vectorized, *ctx.at(k).g, opt.eos);
             }));
         }
         rt::apex_count("hydro.cfl_tasks", leaves.size());
@@ -615,7 +604,7 @@ double step_pipeline(tree& t, const step_options& opt,
                 rt::promise<void> done;
                 auto f = done.get_future();
                 rt::detach(rt::when_all(std::move(deps))
-                             .then(pool, [&opt, cfg, g = lc.g, lf = &lc.fluxes,
+                             .then(pool, [&opt, g = lc.g, lf = &lc.fluxes,
                                           axis, rlo, rhi, flux_started,
                                           done](auto) mutable {
                                  flux_started->store(
@@ -632,10 +621,9 @@ double step_pipeline(tree& t, const step_options& opt,
                                      gpu::work_item item;
                                      item.kc = kernel_class::hydro;
                                      item.flops = flux_sweep_flops;
-                                     item.kernel = [&opt, cfg, g, lf,
+                                     item.kernel = [&opt, g, lf,
                                                     axis](const double*) {
-                                         compute_axis_fluxes(*g, axis, cfg,
-                                                             opt, *lf);
+                                         compute_axis_fluxes(*g, axis, opt, *lf);
                                      };
                                      if (auto af = opt.aggregator->submit(
                                              std::move(item))) {
@@ -646,7 +634,7 @@ double step_pipeline(tree& t, const step_options& opt,
                                          return;
                                      }
                                  }
-                                 compute_axis_fluxes(*g, axis, cfg, opt, *lf);
+                                 compute_axis_fluxes(*g, axis, opt, *lf);
                                  done.set_value();
                              }));
                 join.push_back(alias(f));
@@ -721,7 +709,7 @@ double step_pipeline(tree& t, const step_options& opt,
             deps.push_back(alias(dt_ready));
             deps.push_back(alias(gravity_done));
             auto f = rt::when_all(std::move(deps))
-                         .then(pool, [&opt, cfg, k, lc_ptr = &lc, dt_val,
+                         .then(pool, [&opt, k, lc_ptr = &lc, dt_val,
                                       second](auto) {
                              for (int axis = 0; axis < 3; ++axis) {
                                  sanitize::region_read(
@@ -744,7 +732,7 @@ double step_pipeline(tree& t, const step_options& opt,
                                                        "hydro.u0");
                              }
                              update_leaf(k, *lc_ptr->g, lc_ptr->fluxes,
-                                         *dt_val, cfg, opt, lc_ptr->refluxes,
+                                         *dt_val, opt, lc_ptr->refluxes,
                                          second ? &lc_ptr->u0 : nullptr);
                          });
             join.push_back(alias(f));
@@ -769,108 +757,16 @@ double step_pipeline(tree& t, const step_options& opt,
     return *dt_val;
 }
 
-// ---- autotuning ------------------------------------------------------------
-
-/// Synthetic fully-filled leaf the width/tile sweep measures on: a smooth,
-/// internal-energy-dominated blob with every cell (ghosts included) holding
-/// physical values, so no kernel branch sees garbage and no lane hits the
-/// guarded-pow slow path more than the production mix would.
-const subgrid& tuning_leaf() {
-    static const subgrid leaf = [] {
-        subgrid g;
-        g.geom.origin = {-1.0, -1.0, -1.0};
-        g.geom.dx = 2.0 / INX;
-        const phys::ideal_gas_eos eos;
-        const double gamma = eos.gamma();
-        for (int i = 0; i < NX; ++i)
-            for (int j = 0; j < NX; ++j)
-                for (int kk = 0; kk < NX; ++kk) {
-                    const double x = (i - H_BW + 0.5) * g.geom.dx - 1.0;
-                    const double y = (j - H_BW + 0.5) * g.geom.dx - 1.0;
-                    const double z = (kk - H_BW + 0.5) * g.geom.dx - 1.0;
-                    const double r2 = x * x + y * y + z * z;
-                    const double rho = 1.0 + 0.5 * std::exp(-r2);
-                    const dvec3 v{0.1 * y, -0.1 * x, 0.05 * z};
-                    const double p = 1.0 + 0.25 * std::exp(-r2);
-                    const double internal = p / (gamma - 1.0);
-                    g.at(f_rho, i, j, kk) = rho;
-                    g.at(f_sx, i, j, kk) = rho * v.x;
-                    g.at(f_sy, i, j, kk) = rho * v.y;
-                    g.at(f_sz, i, j, kk) = rho * v.z;
-                    g.at(f_egas, i, j, kk) = internal + 0.5 * rho * norm2(v);
-                    g.at(f_tau, i, j, kk) = eos.tau_from_internal(internal);
-                    for (int s = 0; s < n_passive; ++s) {
-                        g.at(first_passive + s, i, j, kk) = rho / n_passive;
-                    }
-                    g.at(f_lx, i, j, kk) = 0.01 * rho;
-                    g.at(f_ly, i, j, kk) = -0.01 * rho;
-                    g.at(f_lz, i, j, kk) = 0.02 * rho;
-                }
-        return g;
-    }();
-    return leaf;
-}
-
-/// Throughput of one candidate geometry: repeated 3-axis flux sweeps over
-/// the synthetic leaf, in modeled GFLOP/s (flux_sweep_flops per axis sweep —
-/// a consistent figure of merit across candidates, which is all argmax needs).
-double measure_leaf_fluxes(const kernel::tuned_config& c,
-                           const phys::ideal_gas_eos& eos, bool use_ppm) {
-    const subgrid& g = tuning_leaf();
-    pencil_workspace ws;
-    leaf_flux_soa out;
-    out.reset();
-    const kernel::exec_config cfg = c.exec();
-    double ms = 0.0;
-    for (int axis = 0; axis < 3; ++axis) { // warm-up: first touch + icache
-        kernel::run_leaf_fluxes(cfg, g, axis, eos, use_ppm, ws, out, &ms);
-    }
-    constexpr int reps = 6;
-    stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-        for (int axis = 0; axis < 3; ++axis) {
-            kernel::run_leaf_fluxes(cfg, g, axis, eos, use_ppm, ws, out, &ms);
-        }
-    }
-    const double secs = std::max(sw.seconds(), 1e-9);
-    return 3.0 * reps * static_cast<double>(flux_sweep_flops) / secs / 1e9;
-}
-
-/// The width-1 instantiation when !vectorized; else the width/tile from the
-/// autotune cache, sweeping candidates at first use (the fixed default — full
-/// pack width, untiled — is the first candidate, so the tuned pick can never
-/// measure worse than it); else the default.
-kernel::exec_config resolve_exec(const step_options& opt) {
-    if (!opt.vectorized) return {kernel::backend_kind::scalar, 1, 0};
-    if (!opt.autotune) return {kernel::backend_kind::simd, W, 0};
-    std::vector<kernel::tuned_config> cands;
-    for (const int w : {W, 4, 2, 1}) {
-        for (const int tile : {0, 16, 32}) {
-            kernel::tuned_config c;
-            c.width = w;
-            c.tile = tile;
-            cands.push_back(c);
-        }
-    }
-    return kernel::global_autotune()
-        .tune(opt.machine, "hydro.leaf_fluxes", kernel::backend_kind::simd,
-              cands,
-              [&opt](const kernel::tuned_config& c) {
-                  return measure_leaf_fluxes(c, opt.eos, opt.use_ppm);
-              })
-        .exec();
-}
-
 } // namespace
 
 double step(tree& t, const step_options& opt) {
-    const kernel::exec_config cfg = resolve_exec(opt);
     rt::apex_timer timer("hydro::step");
     rt::apex_count("hydro::steps");
-    rt::apex_gauge("hydro.simd_width", static_cast<std::uint64_t>(cfg.width));
+    rt::apex_gauge("hydro.simd_width",
+                   static_cast<std::uint64_t>(opt.vectorized ? simd::default_width : 1));
     rt::thread_pool& pool =
         opt.pool != nullptr ? *opt.pool : rt::thread_pool::global();
-    return step_pipeline(t, opt, cfg, pool);
+    return step_pipeline(t, opt, pool);
 }
 
 totals compute_totals(const tree& t) {

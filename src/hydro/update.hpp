@@ -49,10 +49,9 @@ struct step_options {
     /// is the scalar reference of the agreement tests. The same decision as
     /// sim_options::vectorized and fmm::solver_options::vectorized.
     bool vectorized = true;
-    /// Resolve the SIMD width and lane tile from the autotune cache
-    /// (kernel/autotune.hpp) under `machine`, sweeping candidate geometries
-    /// on a synthetic leaf at first use if the cache has no entry yet.
-    /// Ignored when !vectorized.
+    /// Both ignored: the hydro kernels have no tuned geometry. stepbench
+    /// still sets them; they go away when stepbench moves to a single
+    /// execution context (ROADMAP item 5).
     bool autotune = false;
     std::string machine = "host";
     double fixed_dt = 0.0;      ///< >0: skip the CFL computation

@@ -4,27 +4,16 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "runtime/apex.hpp"
 
 namespace octo::kernel {
 
-namespace {
-
-int backend_from_name(const std::string& name) {
-    if (name == "scalar") return static_cast<int>(backend_kind::scalar);
-    if (name == "simd") return static_cast<int>(backend_kind::simd);
-    if (name == "gpu") return static_cast<int>(backend_kind::gpu);
-    return -1;
-}
-
-} // namespace
-
 autotune_cache::autotune_cache(std::string path) : path_(std::move(path)) { load(); }
 
-std::string autotune_cache::key(const std::string& machine, const std::string& kernel,
-                                backend_kind backend) {
-    return machine + "|" + kernel + "|" + backend_name(backend);
+std::string autotune_cache::key(const std::string& machine, const std::string& kernel) {
+    return machine + "|" + kernel;
 }
 
 void autotune_cache::load() {
@@ -37,41 +26,19 @@ void autotune_cache::load() {
         if (line.empty() || line[0] == '#') {
             continue;
         }
+        std::vector<std::string> f;
         std::istringstream ss(line);
-        std::string machine;
-        std::string kernel;
-        std::string backend;
-        std::string field;
-        if (!std::getline(ss, machine, '|') || !std::getline(ss, kernel, '|') ||
-            !std::getline(ss, backend, '|')) {
-            continue;
-        }
-        const int bk = backend_from_name(backend);
-        if (bk < 0) {
-            continue;
-        }
-        tuned_config cfg;
-        cfg.backend = static_cast<backend_kind>(bk);
-        if (!std::getline(ss, field, '|')) continue;
-        cfg.width = std::atoi(field.c_str());
-        if (!std::getline(ss, field, '|')) continue;
-        cfg.tile = std::atoi(field.c_str());
-        if (!std::getline(ss, field, '|')) continue;
-        cfg.gpu_batch = static_cast<unsigned>(std::strtoul(field.c_str(), nullptr, 10));
-        if (!std::getline(ss, field, '|')) continue;
-        // New 8-field format carries flush_us before gflops; a 7-field line
-        // from an older cache ends here and the field just read IS gflops.
-        std::string tail;
-        if (std::getline(ss, tail, '|')) {
-            cfg.flush_us = std::strtod(field.c_str(), nullptr);
-            cfg.gflops = std::strtod(tail.c_str(), nullptr);
-        } else {
-            cfg.gflops = std::strtod(field.c_str(), nullptr);
+        for (std::string field; std::getline(ss, field, '|');) f.push_back(field);
+        if (f.size() != 5) {
+            continue; // another format (e.g. an old width/tile entry): a miss
         }
         entry e;
-        e.cfg = cfg;
+        e.cfg.gpu_batch =
+            static_cast<unsigned>(std::strtoul(f[2].c_str(), nullptr, 10));
+        e.cfg.flush_us = std::strtod(f[3].c_str(), nullptr);
+        e.cfg.gflops = std::strtod(f[4].c_str(), nullptr);
         e.from_disk = true;
-        map_[machine + "|" + kernel + "|" + backend] = e;
+        map_[key(f[0], f[1])] = e;
     }
 }
 
@@ -80,18 +47,17 @@ void autotune_cache::persist() const {
     if (!out) {
         return;
     }
-    out << "# octo autotune cache: machine|kernel|backend|width|tile|gpu_batch|flush_us|gflops\n";
+    out << "# octo autotune cache: machine|kernel|gpu_batch|flush_us|gflops\n";
     for (const auto& [k, e] : map_) {
-        out << k << "|" << e.cfg.width << "|" << e.cfg.tile << "|" << e.cfg.gpu_batch
-            << "|" << e.cfg.flush_us << "|" << e.cfg.gflops << "\n";
+        out << k << "|" << e.cfg.gpu_batch << "|" << e.cfg.flush_us << "|"
+            << e.cfg.gflops << "\n";
     }
 }
 
 std::optional<tuned_config> autotune_cache::lookup(const std::string& machine,
-                                                   const std::string& kernel,
-                                                   backend_kind backend) {
+                                                   const std::string& kernel) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key(machine, kernel, backend));
+    auto it = map_.find(key(machine, kernel));
     if (it == map_.end()) {
         return std::nullopt;
     }
@@ -105,40 +71,10 @@ std::optional<tuned_config> autotune_cache::lookup(const std::string& machine,
     return it->second.cfg;
 }
 
-tuned_config autotune_cache::tune(const std::string& machine, const std::string& kernel,
-                                  backend_kind backend,
-                                  const std::vector<tuned_config>& candidates,
-                                  const measure_fn& measure) {
-    if (auto cached = lookup(machine, kernel, backend)) {
-        return *cached;
-    }
-    // Sweep outside the lock: measurements can be expensive and re-entrant
-    // kernels may themselves consult the cache.
-    tuned_config best;
-    bool have_best = false;
-    for (const auto& cand : candidates) {
-        tuned_config c = cand;
-        c.backend = backend;
-        c.gflops = measure(c);
-        if (!have_best || c.gflops > best.gflops) {
-            best = c;
-            have_best = true;
-        }
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++sweeps_;
-    rt::apex_count("kernel.autotune.sweeps");
-    auto [it, inserted] = map_.emplace(key(machine, kernel, backend), entry{best, false, false});
-    if (inserted) {
-        persist();
-    }
-    return it->second.cfg;
-}
-
 void autotune_cache::store(const std::string& machine, const std::string& kernel,
-                           backend_kind backend, const tuned_config& cfg) {
+                           const tuned_config& cfg) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    map_[key(machine, kernel, backend)] = entry{cfg, false, false};
+    map_[key(machine, kernel)] = entry{cfg, false, false};
     persist();
 }
 
@@ -150,11 +86,6 @@ std::uint64_t autotune_cache::hits() const {
 std::uint64_t autotune_cache::disk_hits() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return disk_hits_;
-}
-
-std::uint64_t autotune_cache::sweeps() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return sweeps_;
 }
 
 autotune_cache& global_autotune() {

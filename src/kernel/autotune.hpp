@@ -1,77 +1,58 @@
 #pragma once
-// Per-kernel autotuner (ISSUE 7): at first use of a (kernel, machine,
-// backend) triple, sweep the candidate launch geometries (SIMD width x tile
-// for CPU kernels, aggregation batch for GPU offload), keep the measured
-// winner, and persist it so later runs — and later *processes* — start at
-// the tuned configuration. Cache effectiveness is APEX-visible:
+// Offload autotune cache: the tuned fused-batch size and flush timeout of
+// the GPU aggregation executor, per (machine, kernel), persisted so later
+// runs — and later *processes* — start at the tuned values.
+// bench_kernels seeds the entries from its modeled-machine sweep; the FMM
+// solver looks them up (fmm::solver_options::autotune). Neither value can
+// change a result's bits: every item of a fused batch runs the same
+// compiled kernel as the CPU path. The CPU kernels have no tuned geometry
+// at all: each is compiled at exactly the scalar reference and the build's
+// pack width (exec.hpp), chosen by `vectorized`.
 //
-//   kernel.autotune.sweeps     cold lookups that ran a measurement sweep
+// Cache effectiveness is APEX-visible:
+//
 //   kernel.autotune.hits       warm lookups served from memory
 //   kernel.autotune.disk_hits  entries served from the on-disk cache file
 //
 // The disk format is one entry per line:
-//   machine|kernel|backend|width|tile|gpu_batch|flush_us|gflops
-// (older 7-field lines without flush_us still parse; the flush timeout then
-// stays at its built-in default)
-// keyed on the machine model name ("host" = measured on this machine;
-// cluster machine-model names for simulated nodes), the kernel class key
-// ("fmm.monopole", "hydro.leaf_fluxes", ...) and the backend.
+//   machine|kernel|gpu_batch|flush_us|gflops
+// keyed on the machine model name (cluster machine-model names for
+// simulated nodes) and the kernel class key ("fmm.same_level"). The loader
+// skips every line with another field count, so the 7- and 8-field lines
+// of older caches (which also carried a CPU width and tile) are misses,
+// never misparses.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
-
-#include "kernel/exec.hpp"
 
 namespace octo::kernel {
 
-/// One tuned launch geometry plus the throughput that won it the slot.
+/// One tuned offload configuration plus the throughput that won it the slot.
 struct tuned_config {
-    backend_kind backend = backend_kind::simd;
-    int width = static_cast<int>(octo::simd::default_width);
-    int tile = 0;             ///< 0 = untiled (whole extent)
-    unsigned gpu_batch = 16;  ///< aggregation batch (gpu backend only)
-    double flush_us = 100.0;  ///< aggregator age-flush timeout (gpu backend)
-    double gflops = 0.0;      ///< measured throughput of this config
-
-    exec_config exec() const { return {backend, width, tile}; }
+    unsigned gpu_batch = 16;  ///< aggregation batch
+    double flush_us = 100.0;  ///< aggregator age-flush timeout
+    double gflops = 0.0;      ///< modeled throughput of this config
 };
 
 class autotune_cache {
   public:
-    /// Loads `path` if it exists; tune()/store() persist back to it.
+    /// Loads `path` if it exists; store() persists back to it.
     explicit autotune_cache(std::string path);
 
     /// Warm lookup. Counts a hit (and, for entries that came from the cache
     /// file, a disk hit on first service).
     std::optional<tuned_config> lookup(const std::string& machine,
-                                       const std::string& kernel,
-                                       backend_kind backend);
+                                       const std::string& kernel);
 
-    /// Measured throughput (GFLOP/s — any consistent figure of merit) of one
-    /// candidate; the sweep keeps the argmax.
-    using measure_fn = std::function<double(const tuned_config&)>;
-
-    /// Lookup-or-sweep: returns the cached winner, or measures every
-    /// candidate, stores and persists the best. Candidates are tried in
-    /// order and ties keep the earlier one, so listing the fixed default
-    /// first guarantees tuned >= default.
-    tuned_config tune(const std::string& machine, const std::string& kernel,
-                      backend_kind backend,
-                      const std::vector<tuned_config>& candidates,
-                      const measure_fn& measure);
-
-    /// Explicit insert + persist (benches seed simulated machine models).
+    /// Insert + persist (bench_kernels seeds simulated machine models).
     void store(const std::string& machine, const std::string& kernel,
-               backend_kind backend, const tuned_config& cfg);
+               const tuned_config& cfg);
 
     std::uint64_t hits() const;
     std::uint64_t disk_hits() const;
-    std::uint64_t sweeps() const;
     const std::string& path() const { return path_; }
 
   private:
@@ -81,8 +62,7 @@ class autotune_cache {
         bool disk_counted = false;
     };
 
-    static std::string key(const std::string& machine, const std::string& kernel,
-                           backend_kind backend);
+    static std::string key(const std::string& machine, const std::string& kernel);
     void load();
     void persist() const; // callers hold mutex_
 
@@ -91,7 +71,6 @@ class autotune_cache {
     std::map<std::string, entry> map_;
     std::uint64_t hits_ = 0;
     std::uint64_t disk_hits_ = 0;
-    std::uint64_t sweeps_ = 0;
 };
 
 /// The process-wide cache: path from $OCTO_AUTOTUNE_CACHE, default

@@ -6,15 +6,18 @@
 // value type T (double or simd::pack<double, W>) and wrapped in a thin
 // policy template:
 //
-//   exec::scalar   — T = double, one lane.
+//   exec::scalar   — T = double, one lane: the width-1 reference.
 //   exec::simd<W>  — T = simd::pack<double, W>, W lanes per op.
 //
-// The simulated device has no policy of its own: an offloaded kernel runs
-// the caller's exec_config, so the device and the CPU call one compiled
-// function and their results are bit-identical by construction.
+// Each kernel is compiled at exactly two geometries: exec::scalar
+// (`vectorized = false`) and exec::simd<simd::default_width>
+// (`vectorized = true`), fixed per build like the SIMD type of a Kokkos
+// build target. No runtime setting picks another width, so a run's bits
+// depend only on the build and `vectorized`.
 //
-// A runtime `exec_config` (backend, width, tile) — usually produced by the
-// autotuner (autotune.hpp) — is mapped onto these policies by dispatch().
+// The simulated device has no policy of its own: an offloaded kernel runs
+// the caller's geometry, so the device and the CPU call one compiled
+// function and their results are bit-identical by construction.
 
 #include <cstddef>
 
@@ -22,45 +25,23 @@
 
 namespace octo::kernel {
 
-/// `gpu` names no execution policy; it keys the autotune-cache entry for
-/// the device's aggregation batch and flush timeout (fmm.same_level).
-enum class backend_kind : int { scalar = 0, simd = 1, gpu = 2 };
-
-inline const char* backend_name(backend_kind b) {
-    switch (b) {
-        case backend_kind::scalar: return "scalar";
-        case backend_kind::simd: return "simd";
-        case backend_kind::gpu: return "gpu";
-    }
-    return "?";
-}
-
 namespace exec {
 
 struct scalar {
     using value_type = double;
     static constexpr int width = 1;
-    static constexpr backend_kind backend = backend_kind::scalar;
 };
 
 template <int W>
 struct simd {
     using value_type = octo::simd::pack<double, static_cast<std::size_t>(W)>;
     static constexpr int width = W;
-    static constexpr backend_kind backend = backend_kind::simd;
 };
+
+/// The pack policy of this build.
+using simd_default = simd<static_cast<int>(octo::simd::default_width)>;
 
 } // namespace exec
-
-/// Runtime kernel-launch geometry; the autotuner picks these per
-/// (kernel, machine, backend) and dispatch() maps them onto a policy.
-struct exec_config {
-    backend_kind backend = backend_kind::simd;
-    int width = static_cast<int>(octo::simd::default_width);
-    /// Blocking factor: receiver rows for the FMM kernels, transverse lanes
-    /// for the hydro pencil passes. 0 = whole extent (the untiled default).
-    int tile = 0;
-};
 
 // ---- value-type traits shared by the kernel bodies ------------------------
 
@@ -123,18 +104,13 @@ inline double lane(const T& v, int l) {
     }
 }
 
-/// Invoke `f` with the execution policy selected by cfg. Unknown SIMD
-/// widths fall back to the build's default pack width.
+/// Invoke `f` with exec::simd_default when `vectorized`, else exec::scalar.
 template <class F>
-void dispatch(const exec_config& cfg, F&& f) {
-    if (cfg.backend == backend_kind::scalar || cfg.width <= 1) {
+void dispatch(bool vectorized, F&& f) {
+    if (vectorized) {
+        f(exec::simd_default{});
+    } else {
         f(exec::scalar{});
-        return;
-    }
-    switch (cfg.width) {
-        case 2: f(exec::simd<2>{}); return;
-        case 4: f(exec::simd<4>{}); return;
-        default: f(exec::simd<static_cast<int>(octo::simd::default_width)>{}); return;
     }
 }
 

@@ -3,8 +3,8 @@
 // src/fmm/kernels.cpp and the solver's inline M2M / L2L loops were moved
 // here verbatim and deleted there. The value type T is double
 // (exec::scalar) or simd::pack<double, W> (exec::simd<W>). The simulated
-// GPU runs the solver's own launch geometry, so it executes literally the
-// same compiled function as the CPU path (bit-identity by construction).
+// GPU runs the solver's own geometry, so it executes literally the same
+// compiled function as the CPU path (bit-identity by construction).
 
 #include "kernel/fmm.hpp"
 
@@ -140,30 +140,17 @@ struct sym_moment {
     T operator[](int p) const { return mA * qb[p] + mB * qa[p]; }
 };
 
-/// Resolve the receiver-row tile: rows of (i, j) receiver pairs processed
-/// per block, in row order — any tile yields the untiled iteration order,
-/// so tiling is bit-identical and purely a cache-blocking knob.
-inline int row_tile(int tile) {
-    const int nrows = INX * INX;
-    return tile > 0 ? std::min(tile, nrows) : nrows;
-}
-
 template <class T>
 void monopole_body(const node_moments& self, const partner_buffer& partners,
-                   const kernel_options& opt, int tile, node_gravity& out) {
+                   const kernel_options& opt, node_gravity& out) {
     constexpr int W = lane_count<T>::value;
     static_assert(INX % W == 0 || W == 1);
     OCTO_ASSERT_MSG(opt.stencil != nullptr,
                     "kernel layer requires an explicit stencil");
     const auto& pl = active_parity_lists<T>(*opt.stencil, partners, false);
 
-    const int nrows = INX * INX;
-    const int rt = row_tile(tile);
-    for (int r0 = 0; r0 < nrows; r0 += rt) {
-        const int rend = std::min(r0 + rt, nrows);
-        for (int r = r0; r < rend; ++r) {
-            const int i = r / INX;
-            const int j = r % INX;
+    for (int i = 0; i < INX; ++i) {
+        for (int j = 0; j < INX; ++j) {
             for (int k0 = 0; k0 < INX; k0 += W) {
                 const int c = cell_index(i, j, k0);
                 const int base = partner_buffer::index(i, j, k0);
@@ -203,20 +190,15 @@ void monopole_body(const node_moments& self, const partner_buffer& partners,
 template <class T>
 void multipole_body(const node_moments& self, const aligned_vector<double>& self_invm,
                     const partner_buffer& partners, const kernel_options& opt,
-                    int tile, node_gravity& out) {
+                    node_gravity& out) {
     constexpr int W = lane_count<T>::value;
     static_assert(INX % W == 0 || W == 1);
     OCTO_ASSERT_MSG(opt.stencil != nullptr,
                     "kernel layer requires an explicit stencil");
     const auto& pl = active_parity_lists<T>(*opt.stencil, partners, opt.use_inner_mask);
 
-    const int nrows = INX * INX;
-    const int rt = row_tile(tile);
-    for (int r0 = 0; r0 < nrows; r0 += rt) {
-        const int rend = std::min(r0 + rt, nrows);
-        for (int r = r0; r < rend; ++r) {
-            const int i = r / INX;
-            const int j = r % INX;
+    for (int i = 0; i < INX; ++i) {
+        for (int j = 0; j < INX; ++j) {
             for (int k0 = 0; k0 < INX; k0 += W) {
                 const int c = cell_index(i, j, k0);
                 const int base = partner_buffer::index(i, j, k0);
@@ -562,16 +544,15 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
 
 template <class Exec>
 void fmm_monopole(const node_moments& self, const partner_buffer& partners,
-                  const kernel_options& opt, int tile, node_gravity& out) {
-    monopole_body<typename Exec::value_type>(self, partners, opt, tile, out);
+                  const kernel_options& opt, node_gravity& out) {
+    monopole_body<typename Exec::value_type>(self, partners, opt, out);
 }
 
 template <class Exec>
 void fmm_multipole(const node_moments& self, const aligned_vector<double>& self_invm,
                    const partner_buffer& partners, const kernel_options& opt,
-                   int tile, node_gravity& out) {
-    multipole_body<typename Exec::value_type>(self, self_invm, partners, opt, tile,
-                                              out);
+                   node_gravity& out) {
+    multipole_body<typename Exec::value_type>(self, self_invm, partners, opt, out);
 }
 
 template <class Exec>
@@ -591,17 +572,15 @@ void fmm_l2l(const node_gravity& parentL, const node_moments& pm,
     l2l_body(parentL, pm, childM, childLw, conserve);
 }
 
-// Explicit instantiations: every policy dispatch() can produce.
+// Explicit instantiations: the two policies dispatch() can produce.
 #define OCTO_KERNEL_FMM_SL(E)                                                      \
     template void fmm_monopole<E>(const node_moments&, const partner_buffer&,      \
-                                  const kernel_options&, int, node_gravity&);      \
+                                  const kernel_options&, node_gravity&);           \
     template void fmm_multipole<E>(const node_moments&, const aligned_vector<double>&, \
                                    const partner_buffer&, const kernel_options&,   \
-                                   int, node_gravity&);
+                                   node_gravity&);
 OCTO_KERNEL_FMM_SL(exec::scalar)
-OCTO_KERNEL_FMM_SL(exec::simd<2>)
-OCTO_KERNEL_FMM_SL(exec::simd<4>)
-OCTO_KERNEL_FMM_SL(exec::simd<8>)
+OCTO_KERNEL_FMM_SL(exec::simd_default)
 #undef OCTO_KERNEL_FMM_SL
 
 #define OCTO_KERNEL_FMM_TREE(E)                                                    \
@@ -615,20 +594,20 @@ OCTO_KERNEL_FMM_TREE(exec::scalar)
 
 // ---- runtime dispatch ------------------------------------------------------
 
-void run_fmm_monopole(const exec_config& cfg, const node_moments& self,
+void run_fmm_monopole(bool vectorized, const node_moments& self,
                       const partner_buffer& partners, const kernel_options& opt,
                       node_gravity& out) {
-    dispatch(cfg, [&](auto ex) {
-        fmm_monopole<decltype(ex)>(self, partners, opt, cfg.tile, out);
+    dispatch(vectorized, [&](auto ex) {
+        fmm_monopole<decltype(ex)>(self, partners, opt, out);
     });
 }
 
-void run_fmm_multipole(const exec_config& cfg, const node_moments& self,
+void run_fmm_multipole(bool vectorized, const node_moments& self,
                        const aligned_vector<double>& self_invm,
                        const partner_buffer& partners, const kernel_options& opt,
                        node_gravity& out) {
-    dispatch(cfg, [&](auto ex) {
-        fmm_multipole<decltype(ex)>(self, self_invm, partners, opt, cfg.tile, out);
+    dispatch(vectorized, [&](auto ex) {
+        fmm_multipole<decltype(ex)>(self, self_invm, partners, opt, out);
     });
 }
 

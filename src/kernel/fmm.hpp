@@ -4,13 +4,12 @@
 // ONCE and instantiated per execution-space policy (exec.hpp).
 //
 // The bodies live in fmm.cpp; this header declares the policy wrappers
-// (explicitly instantiated there) plus runtime dispatchers taking an
-// exec_config — the form the solver, benches and autotuner use.
+// (explicitly instantiated there) plus runtime dispatchers taking the
+// `vectorized` flag — the form the solver and benches use.
 //
 // Unlike the historical src/fmm/kernels.cpp variants, the kernel layer does
 // not silently fall back to interaction_stencil(): callers must resolve
-// kernel_options::stencil before the launch (the stencil choice is part of
-// the launch geometry the autotuner sweeps over).
+// kernel_options::stencil before the launch.
 
 #include "amr/subgrid.hpp"
 #include "fmm/kernels.hpp"
@@ -20,18 +19,17 @@
 
 namespace octo::kernel {
 
-/// Same-level monopole-monopole interactions (paper §4.3). tile = receiver
-/// rows (i,j) per block, processed in row order so any tile is bit-identical
-/// to the untiled kernel; 0 = whole node.
+/// Same-level monopole-monopole interactions (paper §4.3), receiver rows
+/// (i, j) in row order, W cells along k per step.
 template <class Exec>
 void fmm_monopole(const fmm::node_moments& self, const fmm::partner_buffer& partners,
-                  const fmm::kernel_options& opt, int tile, fmm::node_gravity& out);
+                  const fmm::kernel_options& opt, fmm::node_gravity& out);
 
 /// Same-level multipole (and multipole-monopole) interactions.
 template <class Exec>
 void fmm_multipole(const fmm::node_moments& self, const aligned_vector<double>& self_invm,
                    const fmm::partner_buffer& partners, const fmm::kernel_options& opt,
-                   int tile, fmm::node_gravity& out);
+                   fmm::node_gravity& out);
 
 /// M2M: reduce the 8 children's moments (indexed by octant) into the parent
 /// node. Octant-strided gather bound — scalar policy only.
@@ -46,14 +44,14 @@ void fmm_l2l(const fmm::node_gravity& parentL, const fmm::node_moments& pm,
              const fmm::node_moments* const childM[8],
              fmm::node_gravity* const childLw[8], fmm::am_mode conserve);
 
-// ---- runtime dispatch on an exec_config -----------------------------------
+// ---- runtime dispatch on `vectorized` (exec.hpp dispatch()) -----------------
 // (M2M and L2L have the scalar policy only; callers instantiate it directly.)
 
-void run_fmm_monopole(const exec_config& cfg, const fmm::node_moments& self,
+void run_fmm_monopole(bool vectorized, const fmm::node_moments& self,
                       const fmm::partner_buffer& partners,
                       const fmm::kernel_options& opt, fmm::node_gravity& out);
 
-void run_fmm_multipole(const exec_config& cfg, const fmm::node_moments& self,
+void run_fmm_multipole(bool vectorized, const fmm::node_moments& self,
                        const aligned_vector<double>& self_invm,
                        const fmm::partner_buffer& partners,
                        const fmm::kernel_options& opt, fmm::node_gravity& out);

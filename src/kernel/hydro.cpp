@@ -1,8 +1,8 @@
 // Portable hydro kernel bodies. Each kernel is the ONE source of truth: one
 // T-templated body per kernel, with T = double (exec::scalar, the scalar
 // reference) or simd::pack<double, W> (exec::simd<W>). Offloaded flux sweeps
-// run the step's own launch geometry, so they execute the same compiled
-// function as the CPU path.
+// run the step's own geometry, so they execute the same compiled function as
+// the CPU path.
 
 #include "kernel/hydro.hpp"
 
@@ -36,66 +36,51 @@ constexpr int NV = hydro::n_recon_vars; // 14 reconstructed variables
 constexpr int rv_rho = 0, rv_vx = 1, rv_p = 4, rv_tau = 5, rv_pass = 6;
 constexpr int rv_l = 6 + n_passive;
 
-/// Resolve the transverse-lane tile for width W: a multiple of W clamped to
-/// [W, L]; <= 0 means the whole plane (the untiled default). Lanes are
-/// visited in order within and across blocks, so every tile is bit-identical.
-template <int W>
-int clamp_tile(int tile) {
-    static_assert(L % W == 0, "lane count must be a multiple of the pack width");
-    if (tile <= 0) return L;
-    const int tt = std::max(W, (tile / W) * W);
-    return std::min(tt, L);
-}
-
 template <class T>
-void primitives_body(const double* u, const ideal_gas_eos& eos, int tile,
-                     double* qv) {
+void primitives_body(const double* u, const ideal_gas_eos& eos, double* qv) {
     constexpr int W = lane_count<T>::value;
+    static_assert(L % W == 0, "lane count must be a multiple of the pack width");
     const double gamma = eos.gamma();
     const T floor_p(rho_floor), zero(0.0), half(0.5);
     const T desw(eos.de_switch()), gm1(gamma - 1.0);
-    const int tt = clamp_tile<W>(tile);
-    for (int t0 = 0; t0 < L; t0 += tt) {
-        const int tend = std::min(t0 + tt, L);
-        for (int p = 0; p < P; ++p) {
-            const std::size_t cell = static_cast<std::size_t>(p) * L;
-            for (int t = t0; t < tend; t += W) {
-                const auto ld = [&](int q) {
-                    return load_v<T>(u + static_cast<std::size_t>(q) * P * L +
-                                     cell + t);
-                };
-                const auto st = [&](int v, const T& x) {
-                    store_v(qv + static_cast<std::size_t>(v) * P * L + cell + t, x);
-                };
-                const T rho = simd::max(ld(f_rho), floor_p);
-                const T vx = ld(f_sx) / rho;
-                const T vy = ld(f_sy) / rho;
-                const T vz = ld(f_sz) / rho;
-                const T E = ld(f_egas);
-                const T tau = ld(f_tau);
-                const T ke = half * rho * (vx * vx + vy * vy + vz * vz);
-                const T from_total = E - ke;
-                const mask_t<T> use_total =
-                    (from_total > desw * E) && (from_total > zero);
-                T ent = zero;
-                if (!simd::all(use_total)) {
-                    ent = simd::pow(simd::max(tau, zero), gamma);
-                }
-                const T internal =
-                    simd::max(simd::select(use_total, from_total, ent), zero);
-                st(rv_rho, rho);
-                st(rv_vx + 0, vx);
-                st(rv_vx + 1, vy);
-                st(rv_vx + 2, vz);
-                st(rv_p, gm1 * internal);
-                st(rv_tau, tau / rho);
-                for (int s = 0; s < n_passive; ++s) {
-                    st(rv_pass + s, ld(first_passive + s) / rho);
-                }
-                st(rv_l + 0, ld(f_lx) / rho);
-                st(rv_l + 1, ld(f_ly) / rho);
-                st(rv_l + 2, ld(f_lz) / rho);
+    for (int p = 0; p < P; ++p) {
+        const std::size_t cell = static_cast<std::size_t>(p) * L;
+        for (int t = 0; t < L; t += W) {
+            const auto ld = [&](int q) {
+                return load_v<T>(u + static_cast<std::size_t>(q) * P * L +
+                                 cell + t);
+            };
+            const auto st = [&](int v, const T& x) {
+                store_v(qv + static_cast<std::size_t>(v) * P * L + cell + t, x);
+            };
+            const T rho = simd::max(ld(f_rho), floor_p);
+            const T vx = ld(f_sx) / rho;
+            const T vy = ld(f_sy) / rho;
+            const T vz = ld(f_sz) / rho;
+            const T E = ld(f_egas);
+            const T tau = ld(f_tau);
+            const T ke = half * rho * (vx * vx + vy * vy + vz * vz);
+            const T from_total = E - ke;
+            const mask_t<T> use_total =
+                (from_total > desw * E) && (from_total > zero);
+            T ent = zero;
+            if (!simd::all(use_total)) {
+                ent = simd::pow(simd::max(tau, zero), gamma);
             }
+            const T internal =
+                simd::max(simd::select(use_total, from_total, ent), zero);
+            st(rv_rho, rho);
+            st(rv_vx + 0, vx);
+            st(rv_vx + 1, vy);
+            st(rv_vx + 2, vz);
+            st(rv_p, gm1 * internal);
+            st(rv_tau, tau / rho);
+            for (int s = 0; s < n_passive; ++s) {
+                st(rv_pass + s, ld(first_passive + s) / rho);
+            }
+            st(rv_l + 0, ld(f_lx) / rho);
+            st(rv_l + 1, ld(f_ly) / rho);
+            st(rv_l + 2, ld(f_lz) / rho);
         }
     }
 }
@@ -109,8 +94,8 @@ T mm(const T& a, const T& b) {
 }
 
 template <class T>
-void reconstruct_body(const double* q, bool use_ppm, int tile, double* iface,
-                      double* flo, double* fhi) {
+void reconstruct_body(const double* q, bool use_ppm, double* iface, double* flo,
+                      double* fhi) {
     constexpr int W = lane_count<T>::value;
     if (!use_ppm) {
         for (int cidx = 0; cidx < C; ++cidx) {
@@ -120,49 +105,45 @@ void reconstruct_body(const double* q, bool use_ppm, int tile, double* iface,
         return;
     }
     const T zero(0.0), half(0.5), two(2.0), three(3.0), six(6.0);
-    const int tt = clamp_tile<W>(tile);
-    for (int t0 = 0; t0 < L; t0 += tt) {
-        const int tend = std::min(t0 + tt, L);
-        // Interface i (lower face of cell cidx = i) from cells i-2..i+1
-        // relative to cell -1, i.e. pencil positions i..i+3.
-        for (int i = 0; i <= C; ++i) {
-            for (int t = t0; t < tend; t += W) {
-                const T q_m2 = load_v<T>(q + (i + 0) * L + t);
-                const T q_m1 = load_v<T>(q + (i + 1) * L + t);
-                const T q_0 = load_v<T>(q + (i + 2) * L + t);
-                const T q_p1 = load_v<T>(q + (i + 3) * L + t);
-                const T dc_l = half * (q_0 - q_m2);
-                const T dl_l = two * (q_m1 - q_m2);
-                const T dr_l = two * (q_0 - q_m1);
-                const T dql =
-                    simd::select(dl_l * dr_l <= zero, zero, mm(dc_l, mm(dl_l, dr_l)));
-                const T dc_r = half * (q_p1 - q_m1);
-                const T dl_r = two * (q_0 - q_m1);
-                const T dr_r = two * (q_p1 - q_0);
-                const T dqr =
-                    simd::select(dl_r * dr_r <= zero, zero, mm(dc_r, mm(dl_r, dr_r)));
-                const T f = q_m1 + half * (q_0 - q_m1) - (dqr - dql) / six;
-                store_v(iface + i * L + t, f);
-            }
+    // Interface i (lower face of cell cidx = i) from cells i-2..i+1
+    // relative to cell -1, i.e. pencil positions i..i+3.
+    for (int i = 0; i <= C; ++i) {
+        for (int t = 0; t < L; t += W) {
+            const T q_m2 = load_v<T>(q + (i + 0) * L + t);
+            const T q_m1 = load_v<T>(q + (i + 1) * L + t);
+            const T q_0 = load_v<T>(q + (i + 2) * L + t);
+            const T q_p1 = load_v<T>(q + (i + 3) * L + t);
+            const T dc_l = half * (q_0 - q_m2);
+            const T dl_l = two * (q_m1 - q_m2);
+            const T dr_l = two * (q_0 - q_m1);
+            const T dql =
+                simd::select(dl_l * dr_l <= zero, zero, mm(dc_l, mm(dl_l, dr_l)));
+            const T dc_r = half * (q_p1 - q_m1);
+            const T dl_r = two * (q_0 - q_m1);
+            const T dr_r = two * (q_p1 - q_0);
+            const T dqr =
+                simd::select(dl_r * dr_r <= zero, zero, mm(dc_r, mm(dl_r, dr_r)));
+            const T f = q_m1 + half * (q_0 - q_m1) - (dqr - dql) / six;
+            store_v(iface + i * L + t, f);
         }
-        // Monotonicity limiting (CW84 eq. 1.10). The extremum flatten and the
-        // two overshoot corrections are mutually exclusive, so the branch
-        // cascade maps onto nested selects exactly.
-        for (int cidx = 0; cidx < C; ++cidx) {
-            for (int t = t0; t < tend; t += W) {
-                const T lo0 = load_v<T>(iface + cidx * L + t);
-                const T hi0 = load_v<T>(iface + (cidx + 1) * L + t);
-                const T qc = load_v<T>(q + (cidx + 2) * L + t);
-                const mask_t<T> ext = (hi0 - qc) * (qc - lo0) <= zero;
-                const T d = hi0 - lo0;
-                const T sx = six * (qc - half * (lo0 + hi0));
-                const mask_t<T> c_lo = d * sx > d * d;
-                const mask_t<T> c_hi = (zero - d * d) > d * sx;
-                const T lo1 = simd::select(c_lo, three * qc - two * hi0, lo0);
-                const T hi1 = simd::select(c_hi, three * qc - two * lo0, hi0);
-                store_v(flo + cidx * L + t, simd::select(ext, qc, lo1));
-                store_v(fhi + cidx * L + t, simd::select(ext, qc, hi1));
-            }
+    }
+    // Monotonicity limiting (CW84 eq. 1.10). The extremum flatten and the
+    // two overshoot corrections are mutually exclusive, so the branch
+    // cascade maps onto nested selects exactly.
+    for (int cidx = 0; cidx < C; ++cidx) {
+        for (int t = 0; t < L; t += W) {
+            const T lo0 = load_v<T>(iface + cidx * L + t);
+            const T hi0 = load_v<T>(iface + (cidx + 1) * L + t);
+            const T qc = load_v<T>(q + (cidx + 2) * L + t);
+            const mask_t<T> ext = (hi0 - qc) * (qc - lo0) <= zero;
+            const T d = hi0 - lo0;
+            const T sx = six * (qc - half * (lo0 + hi0));
+            const mask_t<T> c_lo = d * sx > d * d;
+            const mask_t<T> c_hi = (zero - d * d) > d * sx;
+            const T lo1 = simd::select(c_lo, three * qc - two * hi0, lo0);
+            const T hi1 = simd::select(c_hi, three * qc - two * lo0, hi0);
+            store_v(flo + cidx * L + t, simd::select(ext, qc, lo1));
+            store_v(fhi + cidx * L + t, simd::select(ext, qc, hi1));
         }
     }
 }
@@ -227,55 +208,50 @@ face_prim<T> assemble_face(const double* rec, std::size_t off, int axis,
 /// advanced by the radiation solver).
 template <class T>
 void flux_body(const double* flo, const double* fhi, int axis,
-               const ideal_gas_eos& eos, int tile, leaf_flux_soa& out,
-               double* max_speed) {
+               const ideal_gas_eos& eos, leaf_flux_soa& out, double* max_speed) {
     constexpr int W = lane_count<T>::value;
     const T zero(0.0), one(1.0);
     T msp(0.0);
     T uL[n_hydro_fields], uR[n_hydro_fields];
-    const int tt = clamp_tile<W>(tile);
-    for (int t0 = 0; t0 < L; t0 += tt) {
-        const int tend = std::min(t0 + tt, L);
-        for (int p = 0; p < n_faces; ++p) {
-            for (int t = t0; t < tend; t += W) {
-                // Left state: hi face of cell p-1 (cidx p); right: lo of cell p.
-                const face_prim<T> pL =
-                    assemble_face<T>(fhi, static_cast<std::size_t>(p) * L + t,
-                                     axis, eos, uL);
-                const face_prim<T> pR =
-                    assemble_face<T>(flo, static_cast<std::size_t>(p + 1) * L + t,
-                                     axis, eos, uR);
-                const T ap =
-                    simd::max(simd::max(pL.va + pL.c, pR.va + pR.c), zero);
-                const T am =
-                    simd::min(simd::min(pL.va - pL.c, pR.va - pR.c), zero);
-                msp = simd::max(msp, simd::max(ap, zero - am));
-                const T denom = ap - am;
-                const mask_t<T> safe = denom > zero;
-                const T inv =
-                    simd::select(safe, one / simd::select(safe, denom, one), zero);
-                const T apam = ap * am;
-                for (int q = 0; q < n_hydro_fields; ++q) {
-                    T fL = uL[q] * pL.va;
-                    T fR = uR[q] * pR.va;
-                    if (q == f_sx + axis) {
-                        fL += pL.p;
-                        fR += pR.p;
-                    } else if (q == f_egas) {
-                        fL += pL.p * pL.va;
-                        fR += pR.p * pR.va;
+    for (int p = 0; p < n_faces; ++p) {
+        for (int t = 0; t < L; t += W) {
+            // Left state: hi face of cell p-1 (cidx p); right: lo of cell p.
+            const face_prim<T> pL =
+                assemble_face<T>(fhi, static_cast<std::size_t>(p) * L + t,
+                                 axis, eos, uL);
+            const face_prim<T> pR =
+                assemble_face<T>(flo, static_cast<std::size_t>(p + 1) * L + t,
+                                 axis, eos, uR);
+            const T ap =
+                simd::max(simd::max(pL.va + pL.c, pR.va + pR.c), zero);
+            const T am =
+                simd::min(simd::min(pL.va - pL.c, pR.va - pR.c), zero);
+            msp = simd::max(msp, simd::max(ap, zero - am));
+            const T denom = ap - am;
+            const mask_t<T> safe = denom > zero;
+            const T inv =
+                simd::select(safe, one / simd::select(safe, denom, one), zero);
+            const T apam = ap * am;
+            for (int q = 0; q < n_hydro_fields; ++q) {
+                T fL = uL[q] * pL.va;
+                T fR = uR[q] * pR.va;
+                if (q == f_sx + axis) {
+                    fL += pL.p;
+                    fR += pR.p;
+                } else if (q == f_egas) {
+                    fL += pL.p * pL.va;
+                    fR += pR.p * pR.va;
+                }
+                const T fq =
+                    (ap * fL - am * fR) * inv + apam * inv * (uR[q] - uL[q]);
+                double* plane = out.plane(axis, q);
+                if (axis == 2) {
+                    // Transverse-major plane: scatter the lanes.
+                    for (int l = 0; l < W; ++l) {
+                        plane[(t + l) * n_faces + p] = lane(fq, l);
                     }
-                    const T fq =
-                        (ap * fL - am * fR) * inv + apam * inv * (uR[q] - uL[q]);
-                    double* plane = out.plane(axis, q);
-                    if (axis == 2) {
-                        // Transverse-major plane: scatter the lanes.
-                        for (int l = 0; l < W; ++l) {
-                            plane[(t + l) * n_faces + p] = lane(fq, l);
-                        }
-                    } else {
-                        store_v(plane + p * L + t, fq);
-                    }
+                } else {
+                    store_v(plane + p * L + t, fq);
                 }
             }
         }
@@ -493,22 +469,20 @@ void hydro_gather(const amr::subgrid& g, int axis, double* u) {
 // ---- policy wrappers -------------------------------------------------------
 
 template <class Exec>
-void hydro_primitives(const double* u, const ideal_gas_eos& eos, int tile,
-                      double* qv) {
-    primitives_body<typename Exec::value_type>(u, eos, tile, qv);
+void hydro_primitives(const double* u, const ideal_gas_eos& eos, double* qv) {
+    primitives_body<typename Exec::value_type>(u, eos, qv);
 }
 
 template <class Exec>
-void hydro_reconstruct(const double* q, bool use_ppm, int tile, double* iface,
-                       double* flo, double* fhi) {
-    reconstruct_body<typename Exec::value_type>(q, use_ppm, tile, iface, flo, fhi);
+void hydro_reconstruct(const double* q, bool use_ppm, double* iface, double* flo,
+                       double* fhi) {
+    reconstruct_body<typename Exec::value_type>(q, use_ppm, iface, flo, fhi);
 }
 
 template <class Exec>
 void hydro_flux(const double* flo, const double* fhi, int axis,
-                const ideal_gas_eos& eos, int tile, leaf_flux_soa& out,
-                double* max_speed) {
-    flux_body<typename Exec::value_type>(flo, fhi, axis, eos, tile, out, max_speed);
+                const ideal_gas_eos& eos, leaf_flux_soa& out, double* max_speed) {
+    flux_body<typename Exec::value_type>(flo, fhi, axis, eos, out, max_speed);
 }
 
 template <class Exec>
@@ -531,29 +505,25 @@ void hydro_dual_energy(amr::subgrid& g, const ideal_gas_eos& eos) {
     dual_energy_body<typename Exec::value_type>(g, eos);
 }
 
-// Explicit instantiations: every policy dispatch() can produce.
+// Explicit instantiations: the two policies dispatch() can produce.
 #define OCTO_KERNEL_HYDRO(E)                                                       \
-    template void hydro_primitives<E>(const double*, const ideal_gas_eos&, int,    \
-                                      double*);                                    \
-    template void hydro_reconstruct<E>(const double*, bool, int, double*,          \
-                                       double*, double*);                          \
+    template void hydro_primitives<E>(const double*, const ideal_gas_eos&, double*); \
+    template void hydro_reconstruct<E>(const double*, bool, double*, double*,      \
+                                       double*);                                   \
     template void hydro_flux<E>(const double*, const double*, int,                 \
-                                const ideal_gas_eos&, int, leaf_flux_soa&,         \
-                                double*);                                          \
+                                const ideal_gas_eos&, leaf_flux_soa&, double*);    \
     template double hydro_wave_speed<E>(const amr::subgrid&, const ideal_gas_eos&); \
     template void hydro_flux_divergence<E>(amr::subgrid&, const leaf_flux_soa&,    \
                                            double);                               \
     template void hydro_blend<E>(amr::subgrid&, const aligned_vector<double>&);    \
     template void hydro_dual_energy<E>(amr::subgrid&, const ideal_gas_eos&);
 OCTO_KERNEL_HYDRO(exec::scalar)
-OCTO_KERNEL_HYDRO(exec::simd<2>)
-OCTO_KERNEL_HYDRO(exec::simd<4>)
-OCTO_KERNEL_HYDRO(exec::simd<8>)
+OCTO_KERNEL_HYDRO(exec::simd_default)
 #undef OCTO_KERNEL_HYDRO
 
 // ---- runtime dispatch ------------------------------------------------------
 
-void run_leaf_fluxes(const exec_config& cfg, const amr::subgrid& g, int axis,
+void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
                      const ideal_gas_eos& eos, bool use_ppm,
                      pencil_workspace& ws, leaf_flux_soa& out,
                      double* max_speed) {
@@ -564,41 +534,40 @@ void run_leaf_fluxes(const exec_config& cfg, const amr::subgrid& g, int axis,
     ws.fhi.resize(static_cast<std::size_t>(NV) * C * L);
 
     hydro_gather(g, axis, ws.u.data());
-    dispatch(cfg, [&](auto ex) {
+    dispatch(vectorized, [&](auto ex) {
         using Exec = decltype(ex);
-        hydro_primitives<Exec>(ws.u.data(), eos, cfg.tile, ws.qv.data());
+        hydro_primitives<Exec>(ws.u.data(), eos, ws.qv.data());
         for (int v = 0; v < NV; ++v) {
             hydro_reconstruct<Exec>(
                 ws.qv.data() + static_cast<std::size_t>(v) * P * L, use_ppm,
-                cfg.tile, ws.iface.data(),
-                ws.flo.data() + static_cast<std::size_t>(v) * C * L,
+                ws.iface.data(), ws.flo.data() + static_cast<std::size_t>(v) * C * L,
                 ws.fhi.data() + static_cast<std::size_t>(v) * C * L);
         }
-        hydro_flux<Exec>(ws.flo.data(), ws.fhi.data(), axis, eos, cfg.tile, out,
-                         max_speed);
+        hydro_flux<Exec>(ws.flo.data(), ws.fhi.data(), axis, eos, out, max_speed);
     });
 }
 
-double run_wave_speed(const exec_config& cfg, const amr::subgrid& g,
+double run_wave_speed(bool vectorized, const amr::subgrid& g,
                       const ideal_gas_eos& eos) {
     double ms = 0.0;
-    dispatch(cfg, [&](auto ex) { ms = hydro_wave_speed<decltype(ex)>(g, eos); });
+    dispatch(vectorized, [&](auto ex) { ms = hydro_wave_speed<decltype(ex)>(g, eos); });
     return ms;
 }
 
-void run_flux_divergence(const exec_config& cfg, amr::subgrid& g,
+void run_flux_divergence(bool vectorized, amr::subgrid& g,
                          const leaf_flux_soa& lf, double dt) {
-    dispatch(cfg, [&](auto ex) { hydro_flux_divergence<decltype(ex)>(g, lf, dt); });
+    dispatch(vectorized,
+             [&](auto ex) { hydro_flux_divergence<decltype(ex)>(g, lf, dt); });
 }
 
-void run_blend(const exec_config& cfg, amr::subgrid& g,
+void run_blend(bool vectorized, amr::subgrid& g,
                const aligned_vector<double>& u0) {
-    dispatch(cfg, [&](auto ex) { hydro_blend<decltype(ex)>(g, u0); });
+    dispatch(vectorized, [&](auto ex) { hydro_blend<decltype(ex)>(g, u0); });
 }
 
-void run_dual_energy(const exec_config& cfg, amr::subgrid& g,
+void run_dual_energy(bool vectorized, amr::subgrid& g,
                      const ideal_gas_eos& eos) {
-    dispatch(cfg, [&](auto ex) { hydro_dual_energy<decltype(ex)>(g, eos); });
+    dispatch(vectorized, [&](auto ex) { hydro_dual_energy<decltype(ex)>(g, eos); });
 }
 
 } // namespace octo::kernel

@@ -5,12 +5,6 @@
 // hydro/pencil.hpp and instantiated per execution-space policy (exec.hpp).
 // The scalar path (hydro::step_options::vectorized = false) is simply the
 // width-1 instantiation.
-//
-// Tiling: the pencil kernels (primitives / reconstruct / flux) take a
-// transverse-lane tile — lanes are processed in blocks of `tile` (multiple
-// of the pack width) in lane order, so any tile is bit-identical to the
-// untiled kernel and tiling is purely a cache-blocking knob the autotuner
-// sweeps.
 
 #include "amr/subgrid.hpp"
 #include "hydro/pencil.hpp"
@@ -28,19 +22,18 @@ void hydro_gather(const amr::subgrid& g, int axis, double* u);
 
 /// Cell primitives for reconstruction (dual-energy switch as masked select).
 template <class Exec>
-void hydro_primitives(const double* u, const phys::ideal_gas_eos& eos, int tile,
-                      double* qv);
+void hydro_primitives(const double* u, const phys::ideal_gas_eos& eos, double* qv);
 
 /// PPM (CW84) or PCM reconstruction of one variable plane of the bundle.
 template <class Exec>
-void hydro_reconstruct(const double* q, bool use_ppm, int tile, double* iface,
-                       double* flo, double* fhi);
+void hydro_reconstruct(const double* q, bool use_ppm, double* iface, double* flo,
+                       double* fhi);
 
 /// Kurganov–Tadmor flux over every face plane of the sweep; accumulates the
 /// maximum signal speed into *max_speed.
 template <class Exec>
 void hydro_flux(const double* flo, const double* fhi, int axis,
-                const phys::ideal_gas_eos& eos, int tile, hydro::leaf_flux_soa& out,
+                const phys::ideal_gas_eos& eos, hydro::leaf_flux_soa& out,
                 double* max_speed);
 
 /// Max signal speed over the interior of one leaf (per-leaf CFL reduction).
@@ -60,25 +53,26 @@ void hydro_blend(amr::subgrid& g, const aligned_vector<double>& u0);
 template <class Exec>
 void hydro_dual_energy(amr::subgrid& g, const phys::ideal_gas_eos& eos);
 
-// ---- runtime dispatch on an exec_config -----------------------------------
+// ---- runtime dispatch on `vectorized` (exec.hpp dispatch()) -----------------
 
 /// The full flux sweep of one leaf along `axis`: gather + primitives +
-/// per-variable reconstruction + KT flux, through the policy cfg selects.
-void run_leaf_fluxes(const exec_config& cfg, const amr::subgrid& g, int axis,
+/// per-variable reconstruction + KT flux, through the policy `vectorized`
+/// selects.
+void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
                      const phys::ideal_gas_eos& eos, bool use_ppm,
                      hydro::pencil_workspace& ws, hydro::leaf_flux_soa& out,
                      double* max_speed);
 
-double run_wave_speed(const exec_config& cfg, const amr::subgrid& g,
+double run_wave_speed(bool vectorized, const amr::subgrid& g,
                       const phys::ideal_gas_eos& eos);
 
-void run_flux_divergence(const exec_config& cfg, amr::subgrid& g,
+void run_flux_divergence(bool vectorized, amr::subgrid& g,
                          const hydro::leaf_flux_soa& lf, double dt);
 
-void run_blend(const exec_config& cfg, amr::subgrid& g,
+void run_blend(bool vectorized, amr::subgrid& g,
                const aligned_vector<double>& u0);
 
-void run_dual_energy(const exec_config& cfg, amr::subgrid& g,
+void run_dual_energy(bool vectorized, amr::subgrid& g,
                      const phys::ideal_gas_eos& eos);
 
 } // namespace octo::kernel

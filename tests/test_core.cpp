@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "core/simulation.hpp"
 #include "physics/polytrope.hpp"
 #include "io/checkpoint.hpp"
+#include "kernel/autotune.hpp"
 #include "runtime/apex.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scf/scf.hpp"
@@ -352,6 +356,44 @@ TEST(Simulation, VectorizedFalseReachesHydro) {
     reg.reset();
     EXPECT_GT(sim.advance(), 0.0);
     EXPECT_EQ(reg.counter("hydro.simd_width"), 1u);
+}
+
+TEST(Simulation, AutotuneNeverChangesBits) {
+    // The autotune cache holds only the offload batch size and flush
+    // timeout, which cannot change a result's bits. A cache file holding
+    // old-format CPU entries that pick the width-1 kernels must therefore
+    // leave an autotuned coupled run bit-identical to the default one.
+    const std::string path = "test_core_autotune.cache";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (const char* k : {"fmm.monopole", "fmm.multipole", "hydro.leaf_fluxes"}) {
+            out << "host|" << k << "|simd|1|8|16|100|9.9\n";
+        }
+    }
+    // The process-wide cache reads its path once, at first use.
+    ASSERT_EQ(::setenv("OCTO_AUTOTUNE_CACHE", path.c_str(), 1), 0);
+    ASSERT_EQ(kernel::global_autotune().path(), path)
+        << "the global cache was used before this test";
+
+    struct run {
+        std::vector<double> dts;
+        io::leaf_digest_map digests;
+    };
+    const auto run_with = [](bool autotune) {
+        sim_options o = star_options();
+        o.autotune = autotune;
+        o.machine = "host";
+        simulation sim(two_star_tree(), o);
+        run r;
+        for (int s = 0; s < 2; ++s) r.dts.push_back(sim.advance());
+        r.digests = io::leaf_digests(sim.grid());
+        return r;
+    };
+    const run fixed = run_with(false);
+    const run tuned = run_with(true);
+    EXPECT_EQ(tuned.dts, fixed.dts);
+    EXPECT_EQ(tuned.digests, fixed.digests);
+    std::remove(path.c_str());
 }
 
 TEST(Workflow, RestartFileRefinedToHigherResolution) {

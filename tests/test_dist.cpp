@@ -13,7 +13,6 @@
 #include "net/model.hpp"
 #include "net/parcelport.hpp"
 #include "support/error.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -187,26 +186,41 @@ TEST(RmaRegistration, AmortizesPinningCost) {
     EXPECT_LT(registered_delta, unregistered);
 }
 
-TEST(PortComparison, OneSidedDeliversWithLowerWallClockLatency) {
-    // Structural check: the MPI port's deliveries wait for the progress
-    // engine; the libfabric port's completions trigger immediately.
+TEST(PortComparison, OneSidedCompletesInlineWithLowerModeledLatency) {
+    // Structural check, independent of host load: the libfabric port's
+    // completion triggers delivery on the sender's thread inside apply(),
+    // so the receiver's ack is already accounted when apply() returns; the
+    // MPI port only stages the parcel for its progress engine. Each port's
+    // timing model charges that difference, so the same pings accumulate
+    // less modeled latency one-sided.
+    struct result {
+        double modeled = 0;
+        bool acked_inline = true;
+    };
     auto measure = [](parcelport_factory f) {
         runtime rt(2, std::move(f));
         std::atomic<bool> got{false};
         const auto act =
             rt.register_action("ping", [&](int, iarchive) { got = true; });
-        octo::stopwatch sw;
-        constexpr int rounds = 50;
-        for (int i = 0; i < rounds; ++i) {
+        constexpr std::uint64_t rounds = 50;
+        result r;
+        for (std::uint64_t i = 1; i <= rounds; ++i) {
             got = false;
             rt.apply(1, act, oarchive{});
+            r.acked_inline =
+                r.acked_inline && rt.port().stats().control_parcels_sent >= i;
             while (!got.load()) std::this_thread::yield();
         }
-        return sw.seconds() / rounds;
+        rt.wait_quiet();
+        EXPECT_EQ(rt.port().stats().parcels_sent, rounds);
+        r.modeled = rt.port().stats().modeled_latency_total;
+        return r;
     };
-    const double t_mpi = measure(net::make_mpi_port());
-    const double t_lf = measure(net::make_libfabric_port());
-    EXPECT_LT(t_lf, t_mpi);
+    const result mpi = measure(net::make_mpi_port());
+    const result lf = measure(net::make_libfabric_port());
+    EXPECT_TRUE(lf.acked_inline);
+    EXPECT_GT(lf.modeled, 0.0);
+    EXPECT_LT(lf.modeled, mpi.modeled);
 }
 
 } // namespace

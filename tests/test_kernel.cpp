@@ -1,25 +1,28 @@
 // Tests for the portable kernel layer: every hot kernel has ONE templated
-// body, so the backends must agree from that single source — scalar vs SIMD
-// to 1e-14 relative (different summation widths), and any tile
-// bit-identical to untiled at fixed width (tiling only reorders the block
-// boundaries, never the arithmetic). The PPM and Kurganov–Tadmor property
-// tests (linear exactness, monotonicity, consistency, upwinding) run on the
+// body compiled at two geometries, so the width-1 reference and the build's
+// pack width must agree from that single source to 1e-14 relative
+// (different summation widths). The PPM and Kurganov–Tadmor property tests
+// (linear exactness, monotonicity, consistency, upwinding) run on the
 // width-1 instantiation the hydro step uses as its scalar reference.
-// Plus the autotune cache: cold sweep -> persist -> warm hit -> disk hit,
-// observable through the APEX counters.
+// Plus the offload autotune cache: store -> persist -> warm hit -> disk hit,
+// observable through the APEX counters; old-format lines are misses; and
+// the FMM solver's executor picks up a stored batch and flush timeout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "fmm/kernels.hpp"
 #include "fmm/node_data.hpp"
+#include "fmm/solver.hpp"
 #include "fmm/stencil.hpp"
+#include "gpu/device.hpp"
 #include "hydro/pencil.hpp"
 #include "kernel/autotune.hpp"
 #include "kernel/exec.hpp"
@@ -111,29 +114,10 @@ TEST(KernelFmm, MonopoleScalarVsSimdWithinRounding) {
     const auto buf = make_buffer(false);
     const auto opt = stencil_opt(false);
     node_gravity ref;
-    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(mom, buf, opt, 0, ref);
-    node_gravity w2, w4, w8;
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<2>>(mom, buf, opt, 0, w2);
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(mom, buf, opt, 0, w4);
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<8>>(mom, buf, opt, 0, w8);
-    compare_gravity(ref, w2, /*exact=*/false);
-    compare_gravity(ref, w4, /*exact=*/false);
-    compare_gravity(ref, w8, /*exact=*/false);
-}
-
-TEST(KernelFmm, MonopoleTileBitIdenticalAtFixedWidth) {
-    const auto mom = make_moments(false);
-    const auto buf = make_buffer(false);
-    const auto opt = stencil_opt(false);
-    node_gravity untiled;
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(mom, buf, opt, 0,
-                                                            untiled);
-    for (const int tile : {4, 16, 64}) {
-        node_gravity tiled;
-        octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(mom, buf, opt,
-                                                                tile, tiled);
-        compare_gravity(untiled, tiled, /*exact=*/true);
-    }
+    octo::kernel::run_fmm_monopole(false, mom, buf, opt, ref);
+    node_gravity out;
+    octo::kernel::run_fmm_monopole(true, mom, buf, opt, out);
+    compare_gravity(ref, out, /*exact=*/false);
 }
 
 TEST(KernelFmm, MultipoleScalarVsSimdWithinRounding) {
@@ -147,31 +131,10 @@ TEST(KernelFmm, MultipoleScalarVsSimdWithinRounding) {
         auto opt = stencil_opt(true);
         opt.conserve = mode;
         node_gravity ref;
-        octo::kernel::fmm_multipole<octo::kernel::exec::scalar>(mom, invm, buf, opt,
-                                                                0, ref);
-        for (const int w : {2, 4, 8}) {
-            node_gravity out;
-            octo::kernel::run_fmm_multipole({kernel::backend_kind::simd, w, 0}, mom,
-                                            invm, buf, opt, out);
-            compare_gravity(ref, out, /*exact=*/false);
-        }
-    }
-}
-
-TEST(KernelFmm, MultipoleTileBitIdenticalAtFixedWidth) {
-    const auto mom = make_moments(true);
-    aligned_vector<double> invm(INX3);
-    for (int i = 0; i < INX3; ++i) invm[i] = 1.0 / mom.m[i];
-    const auto buf = make_buffer(true);
-    const auto opt = stencil_opt(true);
-    for (const int tile : {8, 32}) {
-        node_gravity t8;
-        octo::kernel::fmm_multipole<octo::kernel::exec::simd<8>>(mom, invm, buf,
-                                                                 opt, tile, t8);
-        node_gravity u8;
-        octo::kernel::fmm_multipole<octo::kernel::exec::simd<8>>(mom, invm, buf,
-                                                                 opt, 0, u8);
-        compare_gravity(u8, t8, /*exact=*/true);
+        octo::kernel::run_fmm_multipole(false, mom, invm, buf, opt, ref);
+        node_gravity out;
+        octo::kernel::run_fmm_multipole(true, mom, invm, buf, opt, out);
+        compare_gravity(ref, out, /*exact=*/false);
     }
 }
 
@@ -179,8 +142,7 @@ TEST(KernelFmm, MultipoleTileBitIdenticalAtFixedWidth) {
 
 using namespace octo::hydro;
 
-/// Synthetic fully-filled leaf (every cell physical) — the autotuner's
-/// measurement subject, reused here as the agreement fixture.
+/// Synthetic fully-filled leaf (every cell physical): the agreement fixture.
 const amr::subgrid& test_leaf() {
     using namespace octo::amr;
     static const subgrid leaf = [] {
@@ -223,13 +185,13 @@ struct flux_run {
     double max_speed = 0.0;
 };
 
-flux_run run_fluxes(const kernel::exec_config& cfg) {
+flux_run run_fluxes(bool vectorized) {
     flux_run r;
     r.lf.reset();
     pencil_workspace ws;
     const phys::ideal_gas_eos eos;
     for (int axis = 0; axis < 3; ++axis) {
-        octo::kernel::run_leaf_fluxes(cfg, test_leaf(), axis, eos, true, ws,
+        octo::kernel::run_leaf_fluxes(vectorized, test_leaf(), axis, eos, true, ws,
                                       r.lf, &r.max_speed);
     }
     return r;
@@ -246,31 +208,14 @@ void compare_fluxes(const flux_run& a, const flux_run& b, bool exact) {
 }
 
 TEST(KernelHydro, LeafFluxesScalarVsSimdWithinRounding) {
-    const auto ref = run_fluxes({kernel::backend_kind::scalar, 1, 0});
-    for (const int w : {2, 4, 8}) {
-        const auto r = run_fluxes({kernel::backend_kind::simd, w, 0});
-        compare_fluxes(ref, r, /*exact=*/false);
-    }
-}
-
-TEST(KernelHydro, LeafFluxesTileBitIdenticalAtFixedWidth) {
-    const auto untiled = run_fluxes({kernel::backend_kind::simd, 8, 0});
-    for (const int tile : {8, 16, 32}) {
-        const auto tiled = run_fluxes({kernel::backend_kind::simd, 8, tile});
-        compare_fluxes(untiled, tiled, /*exact=*/true);
-    }
+    compare_fluxes(run_fluxes(false), run_fluxes(true), /*exact=*/false);
 }
 
 TEST(KernelHydro, WaveSpeedBackendsAgree) {
     const phys::ideal_gas_eos eos;
-    const double s =
-        octo::kernel::run_wave_speed({kernel::backend_kind::scalar, 1, 0},
-                                     test_leaf(), eos);
-    for (const int w : {2, 4, 8}) {
-        const double v = octo::kernel::run_wave_speed(
-            {kernel::backend_kind::simd, w, 0}, test_leaf(), eos);
-        EXPECT_NEAR(s, v, rel_tol * s);
-    }
+    const double s = octo::kernel::run_wave_speed(false, test_leaf(), eos);
+    const double v = octo::kernel::run_wave_speed(true, test_leaf(), eos);
+    EXPECT_NEAR(s, v, rel_tol * s);
     EXPECT_GT(s, 0.0);
 }
 
@@ -298,7 +243,7 @@ void compare_subgrids(const amr::subgrid& a, const amr::subgrid& b, bool exact) 
 TEST(KernelHydro, UpdateKernelsScalarVsSimdWithinRounding) {
     using namespace octo::amr;
     const phys::ideal_gas_eos eos;
-    const auto fx = run_fluxes({kernel::backend_kind::scalar, 1, 0});
+    const auto fx = run_fluxes(false);
     const double dt = 1e-3;
 
     // u0 snapshot ([q][i][j][k] over interior cells) for the RK blend.
@@ -313,18 +258,15 @@ TEST(KernelHydro, UpdateKernelsScalarVsSimdWithinRounding) {
                     }
     }
 
-    auto apply = [&](const kernel::exec_config& cfg) {
+    auto apply = [&](bool vectorized) {
         amr::subgrid g = test_leaf();
-        octo::kernel::run_flux_divergence(cfg, g, fx.lf, dt);
-        octo::kernel::run_blend(cfg, g, u0);
-        octo::kernel::run_dual_energy(cfg, g, eos);
+        octo::kernel::run_flux_divergence(vectorized, g, fx.lf, dt);
+        octo::kernel::run_blend(vectorized, g, u0);
+        octo::kernel::run_dual_energy(vectorized, g, eos);
         return g;
     };
-    const auto s = apply({kernel::backend_kind::scalar, 1, 0});
-    for (const int w : {2, 4, 8}) {
-        const auto v = apply({kernel::backend_kind::simd, w, 0});
-        compare_subgrids(s, v, /*exact=*/false);
-    }
+    const auto s = apply(false);
+    compare_subgrids(s, apply(true), /*exact=*/false);
     // The update actually changed the state (the comparison is not vacuous).
     bool changed = false;
     for (int i = 0; i < INX && !changed; ++i)
@@ -361,8 +303,7 @@ ppm_faces reconstruct_plane(const Profile& profile) {
     r.lo.resize(static_cast<std::size_t>(C) * L);
     r.hi.resize(static_cast<std::size_t>(C) * L);
     kernel::hydro_reconstruct<kernel::exec::scalar>(
-        r.q.data(), /*use_ppm=*/true, 0, r.iface.data(), r.lo.data(),
-        r.hi.data());
+        r.q.data(), /*use_ppm=*/true, r.iface.data(), r.lo.data(), r.hi.data());
     return r;
 }
 
@@ -464,8 +405,7 @@ flux_run kt_sweep(const state& left, const state& right, int split, int axis,
     flux_run r;
     r.lf.reset();
     pencil_workspace ws;
-    octo::kernel::run_leaf_fluxes({kernel::backend_kind::scalar, 1, 0}, g, axis,
-                                  eos, /*use_ppm=*/false, ws, r.lf,
+    octo::kernel::run_leaf_fluxes(false, g, axis, eos, /*use_ppm=*/false, ws, r.lf,
                                   &r.max_speed);
     return r;
 }
@@ -521,115 +461,124 @@ TEST(KtFlux, ReportsSignalSpeed) {
 
 // ---- autotune cache ---------------------------------------------------------
 
-TEST(Autotune, ColdSweepPersistWarmAndDiskHits) {
+TEST(Autotune, StorePersistWarmAndDiskHits) {
     const std::string path = "test_kernel_autotune.cache";
     std::remove(path.c_str());
     const auto& apex = rt::apex_registry::instance();
-    const auto sweeps0 = apex.counter("kernel.autotune.sweeps");
     const auto hits0 = apex.counter("kernel.autotune.hits");
     const auto disk0 = apex.counter("kernel.autotune.disk_hits");
 
-    std::vector<kernel::tuned_config> cands;
-    for (const int w : {8, 4, 2, 1}) {
-        kernel::tuned_config c;
-        c.width = w;
-        cands.push_back(c);
-    }
-    const auto measure = [](const kernel::tuned_config& c) {
-        return c.width == 4 ? 10.0 : 1.0;
-    };
+    kernel::autotune_cache cache(path);
+    EXPECT_FALSE(cache.lookup("host", "test.kernel").has_value());
+    kernel::tuned_config tc;
+    tc.gpu_batch = 64;
+    tc.flush_us = 500.0;
+    tc.gflops = 7.0;
+    cache.store("host", "test.kernel", tc);
 
-    kernel::autotune_cache cold(path);
-    const auto tc = cold.tune("host", "test.kernel", kernel::backend_kind::simd,
-                              cands, measure);
-    EXPECT_EQ(tc.width, 4);
-    EXPECT_DOUBLE_EQ(tc.gflops, 10.0);
-    EXPECT_EQ(cold.sweeps(), 1u);
-    EXPECT_EQ(cold.hits(), 0u);
-
-    // Warm: tune() is served from memory, no second sweep.
-    const auto warm = cold.tune("host", "test.kernel",
-                                kernel::backend_kind::simd, cands, measure);
-    EXPECT_EQ(warm.width, 4);
-    EXPECT_EQ(cold.sweeps(), 1u);
-    EXPECT_EQ(cold.hits(), 1u);
-    EXPECT_EQ(cold.disk_hits(), 0u);
+    // Warm: served from memory, not from disk.
+    const auto warm = cache.lookup("host", "test.kernel");
+    ASSERT_TRUE(warm.has_value());
+    EXPECT_EQ(warm->gpu_batch, 64u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.disk_hits(), 0u);
 
     // A new instance on the same path serves the persisted entry as a disk
     // hit — the cross-process warm start.
     kernel::autotune_cache reopened(path);
-    const auto from_disk =
-        reopened.lookup("host", "test.kernel", kernel::backend_kind::simd);
+    const auto from_disk = reopened.lookup("host", "test.kernel");
     ASSERT_TRUE(from_disk.has_value());
-    EXPECT_EQ(from_disk->width, 4);
-    EXPECT_EQ(from_disk->tile, tc.tile);
-    EXPECT_DOUBLE_EQ(from_disk->gflops, 10.0);
+    EXPECT_EQ(from_disk->gpu_batch, 64u);
+    EXPECT_DOUBLE_EQ(from_disk->flush_us, 500.0);
+    EXPECT_DOUBLE_EQ(from_disk->gflops, 7.0);
     EXPECT_EQ(reopened.disk_hits(), 1u);
     // Second lookup: still one DISK hit (counted once), two warm hits.
-    (void)reopened.lookup("host", "test.kernel", kernel::backend_kind::simd);
+    (void)reopened.lookup("host", "test.kernel");
     EXPECT_EQ(reopened.disk_hits(), 1u);
     EXPECT_EQ(reopened.hits(), 2u);
 
     // The counters are APEX-visible.
-    EXPECT_EQ(apex.counter("kernel.autotune.sweeps"), sweeps0 + 1);
     EXPECT_EQ(apex.counter("kernel.autotune.hits"), hits0 + 3);
     EXPECT_EQ(apex.counter("kernel.autotune.disk_hits"), disk0 + 1);
     std::remove(path.c_str());
 }
 
-TEST(Autotune, FlushTimeoutPersistsAndOldCacheLinesStillParse) {
-    const std::string path = "test_kernel_autotune_flush.cache";
-    std::remove(path.c_str());
-    {
-        kernel::tuned_config tc;
-        tc.backend = kernel::backend_kind::gpu;
-        tc.gpu_batch = 64;
-        tc.flush_us = 500.0;
-        tc.gflops = 7.0;
-        kernel::autotune_cache cache(path);
-        cache.store("host", "flush.kernel", kernel::backend_kind::gpu, tc);
-    }
-    // Round-trips through the 8-field disk format.
-    kernel::autotune_cache reopened(path);
-    const auto tc =
-        reopened.lookup("host", "flush.kernel", kernel::backend_kind::gpu);
-    ASSERT_TRUE(tc.has_value());
-    EXPECT_EQ(tc->gpu_batch, 64u);
-    EXPECT_DOUBLE_EQ(tc->flush_us, 500.0);
-    EXPECT_DOUBLE_EQ(tc->gflops, 7.0);
-
-    // A pre-flush 7-field line (machine|kernel|backend|width|tile|gpu_batch|
-    // gflops) still parses: flush_us falls back to the built-in default.
+TEST(Autotune, LoaderSkipsOldFormatLinesAndRoundTripsTheNewOne) {
+    const std::string path = "test_kernel_autotune_format.cache";
     {
         std::ofstream out(path, std::ios::trunc);
-        out << "host|old.kernel|gpu|1|0|32|5.5\n";
+        out << "# comment\n"
+            << "host|old7.kernel|gpu|1|0|32|5.5\n"          // 7 fields
+            << "host|old8.kernel|simd|1|8|16|100|9.9\n"     // 8 fields
+            << "host|new.kernel|48|250|3.5\n"               // 5 fields
+            << "host|short.kernel|48|250\n";                // 4 fields
     }
-    kernel::autotune_cache old(path);
-    const auto oc = old.lookup("host", "old.kernel", kernel::backend_kind::gpu);
-    ASSERT_TRUE(oc.has_value());
-    EXPECT_EQ(oc->gpu_batch, 32u);
-    EXPECT_DOUBLE_EQ(oc->flush_us, kernel::tuned_config{}.flush_us);
-    EXPECT_DOUBLE_EQ(oc->gflops, 5.5);
+    {
+        kernel::autotune_cache cache(path);
+        // Another field count is a miss, never a misparse.
+        EXPECT_FALSE(cache.lookup("host", "old7.kernel").has_value());
+        EXPECT_FALSE(cache.lookup("host", "old8.kernel").has_value());
+        EXPECT_FALSE(cache.lookup("host", "short.kernel").has_value());
+        const auto tc = cache.lookup("host", "new.kernel");
+        ASSERT_TRUE(tc.has_value());
+        EXPECT_EQ(tc->gpu_batch, 48u);
+        EXPECT_DOUBLE_EQ(tc->flush_us, 250.0);
+        EXPECT_DOUBLE_EQ(tc->gflops, 3.5);
+
+        kernel::tuned_config stored;
+        stored.gpu_batch = 8;
+        stored.flush_us = 20.5;
+        stored.gflops = 1.25;
+        cache.store("m", "fmm.same_level", stored);
+    }
+    // The persisted file holds only 5-field entries (plus the header).
+    {
+        std::ifstream in(path);
+        std::string line;
+        int entries = 0;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#') continue;
+            EXPECT_EQ(std::count(line.begin(), line.end(), '|'), 4) << line;
+            ++entries;
+        }
+        EXPECT_EQ(entries, 2);
+    }
+    kernel::autotune_cache reopened(path);
+    const auto back = reopened.lookup("m", "fmm.same_level");
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->gpu_batch, 8u);
+    EXPECT_DOUBLE_EQ(back->flush_us, 20.5);
+    EXPECT_DOUBLE_EQ(back->gflops, 1.25);
+    EXPECT_TRUE(reopened.lookup("host", "new.kernel").has_value());
     std::remove(path.c_str());
 }
 
-TEST(Autotune, TiesKeepTheFirstCandidate) {
-    // All candidates measure the same -> the winner is the first one listed.
-    // Sweeps list the fixed default first, so tuned >= default always holds.
-    const std::string path = "test_kernel_autotune_ties.cache";
+TEST(Autotune, SolverExecutorPicksUpStoredBatchAndFlush) {
+    // The process-wide cache reads its path once, at first use.
+    const std::string path = "test_kernel_global_autotune.cache";
     std::remove(path.c_str());
-    std::vector<kernel::tuned_config> cands;
-    for (const int w : {8, 4, 2, 1}) {
-        kernel::tuned_config c;
-        c.width = w;
-        cands.push_back(c);
-    }
-    kernel::autotune_cache cache(path);
-    const auto tc = cache.tune("host", "flat.kernel",
-                               kernel::backend_kind::simd, cands,
-                               [](const kernel::tuned_config&) { return 1.0; });
-    EXPECT_EQ(tc.width, 8);
-    EXPECT_EQ(tc.tile, 0);
+    ASSERT_EQ(::setenv("OCTO_AUTOTUNE_CACHE", path.c_str(), 1), 0);
+    auto& cache = kernel::global_autotune();
+    ASSERT_EQ(cache.path(), path) << "the global cache was used before this test";
+    kernel::tuned_config tc;
+    tc.gpu_batch = 48;
+    tc.flush_us = 250.0;
+    cache.store("m", "fmm.same_level", tc);
+
+    gpu::device dev(gpu::p100());
+    const fmm::solver tuned({.device = &dev, .autotune = true, .machine = "m"});
+    ASSERT_NE(tuned.executor(), nullptr);
+    EXPECT_EQ(tuned.executor()->options().max_batch, 48u);
+    EXPECT_DOUBLE_EQ(tuned.executor()->options().flush_after_us, 250.0);
+
+    // autotune off, or a machine without an entry: the built-in defaults.
+    const gpu::aggregator_options defaults;
+    const fmm::solver fixed({.device = &dev, .autotune = false, .machine = "m"});
+    EXPECT_EQ(fixed.executor()->options().max_batch, defaults.max_batch);
+    EXPECT_DOUBLE_EQ(fixed.executor()->options().flush_after_us,
+                     defaults.flush_after_us);
+    const fmm::solver miss({.device = &dev, .autotune = true, .machine = "other"});
+    EXPECT_EQ(miss.executor()->options().max_batch, defaults.max_batch);
     std::remove(path.c_str());
 }
 
