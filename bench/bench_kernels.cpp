@@ -2,12 +2,13 @@
 // two geometries each is compiled at — the width-1 reference and the
 // build's pack width (the default) — for the FMM same-level
 // monopole/multipole kernels and the hydro flux sweep, each the ONE
-// templated body of src/kernel. Then sweeps the offload aggregation batch
-// and flush timeout on the simulated Table 2/3 machine models and stores
-// the winners in the persistent autotune cache (kernel/autotune.hpp), so
-// runs with `autotune = true` start at the tuned batch. Per-(kernel,
-// backend, width) GFLOP/s land in BENCH_kernels.json. Exits nonzero if a
-// tuned batch or flush timeout loses to the default it replaces.
+// templated body of src/kernel; each row is the median of five timed
+// windows. Then sweeps the offload aggregation batch and flush timeout on
+// the simulated Table 2/3 machine models and reports the winners next to
+// the gpu::aggregator_options defaults every run uses; nothing is stored.
+// Per-(kernel, backend, width) GFLOP/s and the sweeps land in
+// BENCH_kernels.json. Exits nonzero if a tuned batch or flush timeout
+// loses to the default.
 
 #include <algorithm>
 #include <cmath>
@@ -22,7 +23,6 @@
 #include "fmm/node_data.hpp"
 #include "fmm/stencil.hpp"
 #include "hydro/pencil.hpp"
-#include "kernel/autotune.hpp"
 #include "kernel/fmm.hpp"
 #include "kernel/hydro.hpp"
 #include "physics/eos.hpp"
@@ -110,18 +110,34 @@ const amr::subgrid& bench_leaf() {
 
 // ---- measurement -----------------------------------------------------------
 
+/// Timed windows per host row. One ~20 ms window scatters 10-30% between
+/// runs of the same binary; the row reports the median and the range.
+constexpr int trials = 5;
+
+struct gflops_stats {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
 /// GFLOP/s of `body` (one call = `flops_per_call`): one warm-up call, then
-/// enough timed reps to cover ~20 ms so the figure is stable.
-double measure_gflops(double flops_per_call, const std::function<void()>& body) {
+/// `trials` windows of enough reps to cover ~20 ms each.
+gflops_stats measure_gflops(double flops_per_call,
+                            const std::function<void()>& body) {
     body(); // warm-up: first touch + icache
     octo::stopwatch sw;
     body();
     const double once = std::max(sw.seconds(), 1e-7);
     const int reps = std::clamp(static_cast<int>(0.02 / once), 2, 2000);
-    sw.reset();
-    for (int r = 0; r < reps; ++r) body();
-    const double secs = std::max(sw.seconds(), 1e-9);
-    return static_cast<double>(reps) * flops_per_call / secs / 1e9;
+    std::vector<double> gf(trials);
+    for (double& g : gf) {
+        sw.reset();
+        for (int r = 0; r < reps; ++r) body();
+        const double secs = std::max(sw.seconds(), 1e-9);
+        g = static_cast<double>(reps) * flops_per_call / secs / 1e9;
+    }
+    std::sort(gf.begin(), gf.end());
+    return {gf[trials / 2], gf.front(), gf.back()};
 }
 
 /// Measure one CPU kernel at both compiled geometries and print/emit a row
@@ -130,15 +146,19 @@ void host_rows(const std::string& key, double flops_per_call, json_value& rows,
                const std::function<void(bool)>& run) {
     for (const bool vectorized : {true, false}) {
         const int width = vectorized ? static_cast<int>(simd::default_width) : 1;
-        const double gf = measure_gflops(flops_per_call, [&] { run(vectorized); });
-        std::printf("  %-18s %-7s w=%d %9.2f GFLOP/s%s\n", key.c_str(),
-                    vectorized ? "simd" : "scalar", width, gf,
-                    vectorized ? "  (default)" : "");
+        const gflops_stats gf =
+            measure_gflops(flops_per_call, [&] { run(vectorized); });
+        std::printf("  %-18s %-7s w=%d %9.2f GFLOP/s [%.2f, %.2f]%s\n",
+                    key.c_str(), vectorized ? "simd" : "scalar", width,
+                    gf.median, gf.min, gf.max, vectorized ? "  (default)" : "");
         rows.push(json_value::object()
                       .add("kernel", key)
                       .add("backend", vectorized ? "simd" : "scalar")
                       .add("width", width)
-                      .add("gflops", gf)
+                      .add("gflops", gf.median)
+                      .add("gflops_min", gf.min)
+                      .add("gflops_max", gf.max)
+                      .add("trials", trials)
                       .add("is_default", vectorized));
     }
     std::printf("\n");
@@ -147,8 +167,7 @@ void host_rows(const std::string& key, double flops_per_call, json_value& rows,
 } // namespace
 
 int main() {
-    std::printf("=== portable kernels + offload autotune sweep ===\n\n");
-    std::printf("cache: %s\n\n", kernel::global_autotune().path().c_str());
+    std::printf("=== portable kernels + offload batch/flush sweep ===\n\n");
 
     json_value rows = json_value::array();
     bool ok = true;
@@ -207,7 +226,7 @@ int main() {
     work.other_flops_per_leaf = 0.0;
     struct machine_case {
         cluster::node_spec node;
-        std::string key; ///< autotune machine key = base model name
+        std::string key; ///< base model name (the report's machine key)
     };
     const std::vector<machine_case> machines = {
         {cluster::with_v100(cluster::xeon_e5_2660v3(10), 1),
@@ -285,11 +304,6 @@ int main() {
                             .add("is_default", flush_us == 100.0));
         }
 
-        kernel::tuned_config tc;
-        tc.gpu_batch = best_batch;
-        tc.flush_us = best_flush;
-        tc.gflops = best_flush_gf;
-        kernel::global_autotune().store(mc.key, "fmm.same_level", tc);
         std::printf("  -> tuned: batch=%u (%.1f GFLOP/s vs %.1f default, %+.1f%%), "
                     "flush=%.0fus (%+.1f%%)\n\n",
                     best_batch, best_gf, def_gf,
@@ -327,12 +341,10 @@ int main() {
 
     json_value root = json_value::object();
     root.add("bench", "kernels")
-        .add("cache", kernel::global_autotune().path())
         .add("host_sweep", rows)
         .add("machines", jmachines)
         .add("tuned_beats_default", ok);
     octo::support::write_bench_json("BENCH_kernels.json", root);
-    std::printf("wrote BENCH_kernels.json (autotune cache: %s)\n",
-                kernel::global_autotune().path().c_str());
+    std::printf("wrote BENCH_kernels.json\n");
     return ok ? 0 : 1;
 }

@@ -20,9 +20,7 @@ simulation::simulation(tree t, sim_options opt)
                 .vectorized = opt.vectorized,
                 .device = opt.device,
                 .pool = opt.pool,
-                .aggregator = opt.aggregator,
-                .autotune = opt.autotune,
-                .machine = opt.machine}),
+                .aggregator = opt.aggregator}),
       lb_cost_(opt.lb.cost) {
     if (opt_.lb.ranks > 0) {
         // Seed with the paper's equal-count split; the cost model refines the
@@ -33,14 +31,10 @@ simulation::simulation(tree t, sim_options opt)
 
 simulation simulation::restart(const std::string& checkpoint_path,
                                sim_options opt) {
-    buffer_recycler::instance().release_pages();
-    io::checkpoint_data ck = io::read_checkpoint_full(checkpoint_path);
-    simulation s(std::move(ck.t), opt);
-    s.time_ = ck.meta.time;
-    s.steps_ = ck.meta.steps;
-    return s;
+    return restart_chain({checkpoint_path}, opt);
 }
 
+// The one restore path: restart() and recover() go through it too.
 simulation simulation::restart_chain(const std::vector<std::string>& chain,
                                      sim_options opt) {
     buffer_recycler::instance().release_pages();
@@ -55,11 +49,7 @@ simulation simulation::recover(const std::vector<std::string>& chain,
                                sim_options opt,
                                std::vector<int> live_ranks) {
     const auto t0 = std::chrono::steady_clock::now();
-    buffer_recycler::instance().release_pages();
-    io::checkpoint_data ck = io::read_checkpoint_chain(chain);
-    simulation s(std::move(ck.t), opt);
-    s.time_ = ck.meta.time;
-    s.steps_ = ck.meta.steps;
+    simulation s = restart_chain(chain, opt);
     if (opt.lb.ranks > 0) {
         s.live_ranks_ = std::move(live_ranks);
         // Cold cost model, exactly like any restart: equal weights. The

@@ -52,11 +52,12 @@ struct sim_options {
     dvec3 omega{0, 0, 0};          ///< rotating-frame angular velocity
     bool vectorized = true;        ///< SIMD FMM + hydro kernels; false = width 1
     rt::thread_pool* pool = nullptr;
-    /// Look up the gravity solver's offload batch size and flush timeout in
-    /// the autotune cache (kernel/autotune.hpp, seeded by bench_kernels).
-    /// Off = the fixed defaults. Never changes the results' bits.
+    /// Both ignored: not forwarded to the gravity solver, whose private
+    /// executor always runs at gpu::aggregator_options{}. stepbench still
+    /// sets them; they go away when stepbench moves to a single execution
+    /// context (ROADMAP item 5).
     bool autotune = false;
-    std::string machine = "host";  ///< autotune cache machine key
+    std::string machine = "host";
     lb_options lb{};               ///< dynamic load balancing (off by default)
 };
 
@@ -99,7 +100,7 @@ class simulation {
                               sim_options opt);
 
     /// Resume from a checkpoint CHAIN ({full} or {full, delta...}) written
-    /// under a full_every > 1 policy. With one element this is restart().
+    /// under a full_every > 1 policy. restart(path) is the chain {path}.
     static simulation restart_chain(const std::vector<std::string>& chain,
                                     sim_options opt);
 

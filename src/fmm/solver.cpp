@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "kernel/autotune.hpp"
 #include "kernel/fmm.hpp"
 #include "runtime/apex.hpp"
 #include "runtime/future.hpp"
@@ -25,22 +24,12 @@ solver::solver(options o)
     : opt_(o), pool_(o.pool != nullptr ? o.pool : &rt::thread_pool::global()) {
     // One launch point for all offload (the Kokkos/HPX lesson of
     // arXiv:2210.06439): an externally provided executor wins; otherwise a
-    // device implies a private single-device executor.
+    // device implies a private single-device executor at the
+    // gpu::aggregator_options defaults.
     if (opt_.aggregator != nullptr) {
         agg_ = opt_.aggregator;
     } else if (opt_.device != nullptr) {
-        // Its fused-batch size and flush timeout. Lookup-only autotuning: a
-        // tuned entry (seeded by bench_kernels) overrides the defaults; a
-        // cache miss keeps them.
-        gpu::aggregator_options ao;
-        if (opt_.autotune) {
-            if (auto tc = kernel::global_autotune().lookup(opt_.machine,
-                                                           "fmm.same_level")) {
-                ao.max_batch = std::max(1u, tc->gpu_batch);
-                ao.flush_after_us = tc->flush_us;
-            }
-        }
-        own_agg_ = std::make_unique<gpu::aggregator>(*opt_.device, ao);
+        own_agg_ = std::make_unique<gpu::aggregator>(*opt_.device);
         agg_ = own_agg_.get();
     }
 }

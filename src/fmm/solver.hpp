@@ -37,13 +37,11 @@ struct solver_options {
     /// and `device` is set, the solver owns a private single-device
     /// aggregator — all offload goes through one launch point either way.
     gpu::aggregator* aggregator = nullptr;
-    /// Consult the autotune cache (kernel/autotune.hpp) for the private
-    /// executor's fused-batch size and flush timeout (key "fmm.same_level")
-    /// under the given machine key. Lookup-only: the solver never sweeps;
-    /// bench_kernels seeds the cache. A miss keeps the defaults. Neither
-    /// value changes the results' bits.
+    /// Both ignored: the private executor always runs at
+    /// gpu::aggregator_options{}. stepbench still sets them; they go away
+    /// when stepbench moves to a single execution context (ROADMAP item 5).
     bool autotune = false;
-    std::string machine = "host";     ///< autotune cache machine key
+    std::string machine = "host";
 };
 
 class solver {

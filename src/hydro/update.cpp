@@ -278,33 +278,37 @@ void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
     kernel::run_dual_energy(opt.vectorized, g, opt.eos);
 }
 
+/// The CFL dt from each leaf's cell width and maximum signal speed: the one
+/// min-reduction behind cfl_timestep() and the step pipeline's dt.
+double cfl_dt(double cfl, const std::vector<double>& dxs,
+              const std::vector<double>& speeds) {
+    double dt = std::numeric_limits<double>::max();
+    for (std::size_t i = 0; i < speeds.size(); ++i) {
+        dt = std::min(dt, cfl * dxs[i] / speeds[i]);
+    }
+    return dt;
+}
+
 } // namespace
 
-double cfl_timestep(tree& t, const step_options& opt) {
-    fill_all_ghosts(t, opt.bc);
+double cfl_timestep(const tree& t, const step_options& opt) {
     rt::thread_pool& pool =
         opt.pool != nullptr ? *opt.pool : rt::thread_pool::global();
     const std::vector<node_key> leaves = t.leaves_sfc();
+    std::vector<double> dxs(leaves.size());
     std::vector<double> speeds(leaves.size());
-    {
-        std::vector<rt::future<void>> fs;
-        fs.reserve(leaves.size());
-        for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
-            fs.push_back(
-                rt::async(pool, [&t, &opt, &speeds, &leaves, idx] {
-                    speeds[idx] = kernel::run_wave_speed(
-                        opt.vectorized, *t.node(leaves[idx]).fields, opt.eos);
-                }));
-        }
-        rt::apex_count("hydro.cfl_tasks", leaves.size());
-        for (auto& f : fs) f.get();
-    }
-    double dt = std::numeric_limits<double>::max();
+    std::vector<rt::future<void>> fs;
+    fs.reserve(leaves.size());
     for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
-        const double dx = t.node(leaves[idx]).fields->geom.dx;
-        dt = std::min(dt, opt.cfl * dx / speeds[idx]);
+        const subgrid& g = *t.node(leaves[idx]).fields;
+        dxs[idx] = g.geom.dx;
+        fs.push_back(rt::async(pool, [&g, &opt, &speeds, idx] {
+            speeds[idx] = kernel::run_wave_speed(opt.vectorized, g, opt.eos);
+        }));
     }
-    return dt;
+    rt::apex_count("hydro.cfl_tasks", leaves.size());
+    for (auto& f : fs) f.get();
+    return cfl_dt(opt.cfl, dxs, speeds);
 }
 
 namespace {
@@ -427,12 +431,8 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
         dt_ready = rt::when_all(std::move(cfs))
                        .then(pool, [speeds, dt_val, dxs = std::move(dxs),
                                     cfl = opt.cfl](auto) {
-                           double dt = std::numeric_limits<double>::max();
-                           for (std::size_t i = 0; i < speeds->size(); ++i) {
-                               dt = std::min(dt, cfl * dxs[i] / (*speeds)[i]);
-                           }
                            sanitize::region_write(dt_val.get(), "hydro.dt");
-                           *dt_val = dt;
+                           *dt_val = cfl_dt(cfl, dxs, *speeds);
                        });
     }
     join.push_back(alias(dt_ready));

@@ -49,9 +49,10 @@ struct step_options {
     /// is the scalar reference of the agreement tests. The same decision as
     /// sim_options::vectorized and fmm::solver_options::vectorized.
     bool vectorized = true;
-    /// Both ignored: the hydro kernels have no tuned geometry. stepbench
-    /// still sets them; they go away when stepbench moves to a single
-    /// execution context (ROADMAP item 5).
+    /// Both ignored: the hydro kernels have no tuned geometry and the
+    /// offload executor no tuned batch. Kept only because stepbench sets
+    /// them; they go away when stepbench moves to a single execution
+    /// context (ROADMAP item 5).
     bool autotune = false;
     std::string machine = "host";
     double fixed_dt = 0.0;      ///< >0: skip the CFL computation
@@ -79,8 +80,9 @@ struct step_options {
 /// Discarding the dt loses the only record of how far time advanced.
 [[nodiscard]] double step(amr::tree& t, const step_options& opt);
 
-/// Global CFL timestep for the current state (used by step / diagnostics).
-[[nodiscard]] double cfl_timestep(amr::tree& t, const step_options& opt);
+/// Global CFL timestep for the current state: bit-identical to the dt
+/// step() takes without fixed_dt. Reads only leaf interiors (no ghosts).
+[[nodiscard]] double cfl_timestep(const amr::tree& t, const step_options& opt);
 
 /// Conserved-quantity ledger over all leaves.
 struct totals {

@@ -360,6 +360,29 @@ TEST(CheckpointRestart, MidRunRestartIsBitIdentical) {
     }
 }
 
+TEST(CheckpointRestart, RestartOfADeltaFileAsksForTheChain) {
+    // restart(path) restores the chain {path}: a delta alone is not an
+    // image, and the error names the chain reader.
+    const std::string prefix = "/tmp/octo_fault_restart_delta";
+    auto a = make_rotating_star();
+    a.set_checkpoint_policy(
+        {.every_steps = 1, .path_prefix = prefix, .full_every = 2});
+    for (int s = 0; s < 2; ++s) a.advance();
+    ASSERT_EQ(a.last_checkpoint(), prefix + ".2.dckpt");
+    try {
+        (void)core::simulation::restart(a.last_checkpoint(),
+                                        rotating_star_options());
+        ADD_FAILURE() << "restart accepted a delta file";
+    } catch (const octo::error& e) {
+        EXPECT_NE(std::string(e.what()).find("use read_checkpoint_chain"),
+                  std::string::npos)
+            << e.what();
+    }
+    for (const char* suffix : {".1.ckpt", ".2.dckpt"}) {
+        std::remove((prefix + suffix).c_str());
+    }
+}
+
 // ---- node death & elastic recovery (ISSUE 10) -------------------------------
 
 TEST(FaultInjector, NodeKillStreamIsSeededAndIndependent) {

@@ -263,6 +263,29 @@ TEST_P(ConservationTest, MassMomentumAngularMomentumToRounding) {
 
 INSTANTIATE_TEST_SUITE_P(Grids, ConservationTest, ::testing::Values(0, 1));
 
+TEST(Step, CflTimestepMatchesTheStepsDt) {
+    // cfl_timestep() and the step pipeline share one CFL reduction over the
+    // leaf interiors, so the standalone dt is the step's dt bit for bit, on
+    // a uniform grid and on one with refined children (two cell widths).
+    phys::ideal_gas_eos eos(5.0 / 3.0);
+    for (const bool refined : {false, true}) {
+        tree t(unit_root());
+        t.refine(root_key);
+        if (refined) {
+            t.refine(key_child(root_key, 0));
+            t.refine(key_child(root_key, 7));
+            t.balance21();
+        } else {
+            refine_uniform(t, 1);
+        }
+        init_state(t, [&](const dvec3& r) { return blob_ic(r, eos); });
+        step_options opt;
+        opt.eos = eos;
+        const double dt = cfl_timestep(t, opt);
+        EXPECT_EQ(dt, step(t, opt)) << (refined ? "refined" : "uniform");
+    }
+}
+
 TEST(Step, GravitySourceAddsMomentum) {
     tree t(unit_root());
     phys::ideal_gas_eos eos(5.0 / 3.0);

@@ -4,9 +4,8 @@
 // (different summation widths). The PPM and Kurganov–Tadmor property tests
 // (linear exactness, monotonicity, consistency, upwinding) run on the
 // width-1 instantiation the hydro step uses as its scalar reference.
-// Plus the offload autotune cache: store -> persist -> warm hit -> disk hit,
-// observable through the APEX counters; old-format lines are misses; and
-// the FMM solver's executor picks up a stored batch and flush timeout.
+// Plus the FMM solver's private offload executor, which runs at the
+// aggregator defaults whatever files or environment variables say.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +23,10 @@
 #include "fmm/stencil.hpp"
 #include "gpu/device.hpp"
 #include "hydro/pencil.hpp"
-#include "kernel/autotune.hpp"
 #include "kernel/exec.hpp"
 #include "kernel/fmm.hpp"
 #include "kernel/hydro.hpp"
 #include "physics/eos.hpp"
-#include "runtime/apex.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -459,127 +456,29 @@ TEST(KtFlux, ReportsSignalSpeed) {
     EXPECT_NEAR(r.max_speed, 2.0 + c, 1e-12);
 }
 
-// ---- autotune cache ---------------------------------------------------------
+// ---- offload executor -------------------------------------------------------
 
-TEST(Autotune, StorePersistWarmAndDiskHits) {
-    const std::string path = "test_kernel_autotune.cache";
-    std::remove(path.c_str());
-    const auto& apex = rt::apex_registry::instance();
-    const auto hits0 = apex.counter("kernel.autotune.hits");
-    const auto disk0 = apex.counter("kernel.autotune.disk_hits");
-
-    kernel::autotune_cache cache(path);
-    EXPECT_FALSE(cache.lookup("host", "test.kernel").has_value());
-    kernel::tuned_config tc;
-    tc.gpu_batch = 64;
-    tc.flush_us = 500.0;
-    tc.gflops = 7.0;
-    cache.store("host", "test.kernel", tc);
-
-    // Warm: served from memory, not from disk.
-    const auto warm = cache.lookup("host", "test.kernel");
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_EQ(warm->gpu_batch, 64u);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.disk_hits(), 0u);
-
-    // A new instance on the same path serves the persisted entry as a disk
-    // hit — the cross-process warm start.
-    kernel::autotune_cache reopened(path);
-    const auto from_disk = reopened.lookup("host", "test.kernel");
-    ASSERT_TRUE(from_disk.has_value());
-    EXPECT_EQ(from_disk->gpu_batch, 64u);
-    EXPECT_DOUBLE_EQ(from_disk->flush_us, 500.0);
-    EXPECT_DOUBLE_EQ(from_disk->gflops, 7.0);
-    EXPECT_EQ(reopened.disk_hits(), 1u);
-    // Second lookup: still one DISK hit (counted once), two warm hits.
-    (void)reopened.lookup("host", "test.kernel");
-    EXPECT_EQ(reopened.disk_hits(), 1u);
-    EXPECT_EQ(reopened.hits(), 2u);
-
-    // The counters are APEX-visible.
-    EXPECT_EQ(apex.counter("kernel.autotune.hits"), hits0 + 3);
-    EXPECT_EQ(apex.counter("kernel.autotune.disk_hits"), disk0 + 1);
-    std::remove(path.c_str());
-}
-
-TEST(Autotune, LoaderSkipsOldFormatLinesAndRoundTripsTheNewOne) {
-    const std::string path = "test_kernel_autotune_format.cache";
+TEST(Solver, PrivateExecutorUsesTheAggregatorDefaults) {
+    // No on-disk tuning state: a tuned entry in ./octo_autotune.cache, named
+    // by $OCTO_AUTOTUNE_CACHE too, leaves the private executor's batch size
+    // and flush timeout at the defaults even with autotune requested.
+    const std::string path = "octo_autotune.cache";
     {
         std::ofstream out(path, std::ios::trunc);
-        out << "# comment\n"
-            << "host|old7.kernel|gpu|1|0|32|5.5\n"          // 7 fields
-            << "host|old8.kernel|simd|1|8|16|100|9.9\n"     // 8 fields
-            << "host|new.kernel|48|250|3.5\n"               // 5 fields
-            << "host|short.kernel|48|250\n";                // 4 fields
+        out << "host|fmm.same_level|48|250|1\n";
     }
-    {
-        kernel::autotune_cache cache(path);
-        // Another field count is a miss, never a misparse.
-        EXPECT_FALSE(cache.lookup("host", "old7.kernel").has_value());
-        EXPECT_FALSE(cache.lookup("host", "old8.kernel").has_value());
-        EXPECT_FALSE(cache.lookup("host", "short.kernel").has_value());
-        const auto tc = cache.lookup("host", "new.kernel");
-        ASSERT_TRUE(tc.has_value());
-        EXPECT_EQ(tc->gpu_batch, 48u);
-        EXPECT_DOUBLE_EQ(tc->flush_us, 250.0);
-        EXPECT_DOUBLE_EQ(tc->gflops, 3.5);
-
-        kernel::tuned_config stored;
-        stored.gpu_batch = 8;
-        stored.flush_us = 20.5;
-        stored.gflops = 1.25;
-        cache.store("m", "fmm.same_level", stored);
-    }
-    // The persisted file holds only 5-field entries (plus the header).
-    {
-        std::ifstream in(path);
-        std::string line;
-        int entries = 0;
-        while (std::getline(in, line)) {
-            if (line.empty() || line[0] == '#') continue;
-            EXPECT_EQ(std::count(line.begin(), line.end(), '|'), 4) << line;
-            ++entries;
-        }
-        EXPECT_EQ(entries, 2);
-    }
-    kernel::autotune_cache reopened(path);
-    const auto back = reopened.lookup("m", "fmm.same_level");
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->gpu_batch, 8u);
-    EXPECT_DOUBLE_EQ(back->flush_us, 20.5);
-    EXPECT_DOUBLE_EQ(back->gflops, 1.25);
-    EXPECT_TRUE(reopened.lookup("host", "new.kernel").has_value());
-    std::remove(path.c_str());
-}
-
-TEST(Autotune, SolverExecutorPicksUpStoredBatchAndFlush) {
-    // The process-wide cache reads its path once, at first use.
-    const std::string path = "test_kernel_global_autotune.cache";
-    std::remove(path.c_str());
     ASSERT_EQ(::setenv("OCTO_AUTOTUNE_CACHE", path.c_str(), 1), 0);
-    auto& cache = kernel::global_autotune();
-    ASSERT_EQ(cache.path(), path) << "the global cache was used before this test";
-    kernel::tuned_config tc;
-    tc.gpu_batch = 48;
-    tc.flush_us = 250.0;
-    cache.store("m", "fmm.same_level", tc);
 
     gpu::device dev(gpu::p100());
-    const fmm::solver tuned({.device = &dev, .autotune = true, .machine = "m"});
-    ASSERT_NE(tuned.executor(), nullptr);
-    EXPECT_EQ(tuned.executor()->options().max_batch, 48u);
-    EXPECT_DOUBLE_EQ(tuned.executor()->options().flush_after_us, 250.0);
-
-    // autotune off, or a machine without an entry: the built-in defaults.
-    const gpu::aggregator_options defaults;
-    const fmm::solver fixed({.device = &dev, .autotune = false, .machine = "m"});
-    EXPECT_EQ(fixed.executor()->options().max_batch, defaults.max_batch);
-    EXPECT_DOUBLE_EQ(fixed.executor()->options().flush_after_us,
-                     defaults.flush_after_us);
-    const fmm::solver miss({.device = &dev, .autotune = true, .machine = "other"});
-    EXPECT_EQ(miss.executor()->options().max_batch, defaults.max_batch);
+    const fmm::solver s({.device = &dev, .autotune = true, .machine = "host"});
+    ::unsetenv("OCTO_AUTOTUNE_CACHE");
     std::remove(path.c_str());
+
+    const gpu::aggregator_options defaults;
+    ASSERT_NE(s.executor(), nullptr);
+    EXPECT_EQ(s.executor()->options().max_batch, defaults.max_batch);
+    EXPECT_DOUBLE_EQ(s.executor()->options().flush_after_us,
+                     defaults.flush_after_us);
 }
 
 } // namespace
