@@ -54,6 +54,11 @@ enum field : int {
     n_fields
 };
 
+/// Fields transported by the hydro fluxes (radiation moments ride on the
+/// sub-grids but are advanced by the radiation solver, not here): the fields
+/// the flux sweeps read, and so the ones the hydro step's ghost fill copies.
+inline constexpr int n_hydro_fields = f_frac_atmosphere + 1;
+
 /// Human-readable field names (I/O, diagnostics).
 const char* field_name(int f);
 

@@ -6,6 +6,7 @@
 
 #include "amr/prolong.hpp"
 #include "runtime/apex.hpp"
+#include "runtime/future.hpp"
 #include "support/assert.hpp"
 
 namespace octo::amr {
@@ -163,35 +164,96 @@ ghost_plan& cached_plan() {
     return plan;
 }
 
-void rebuild_plan(ghost_plan& plan, tree& t, boundary_kind bc) {
+/// Append ghost cell `dst` (resolved to `s`) to a region's runs: it extends
+/// the last run when it continues both the destination and the source
+/// pattern of that run, and starts a new run otherwise. A run's second cell
+/// fixes its stride.
+void append_cell(ghost_region_plan& r, std::int32_t dst, const ghost_source& s) {
+    if (!r.runs.empty()) {
+        ghost_run& last = r.runs.back();
+        if (last.sg == s.sg && last.flip == s.flip && last.dst + last.len == dst) {
+            const int step = s.src - (last.src + (last.len - 1) * last.stride);
+            if (last.len == 1 && (step == 0 || step == 1)) {
+                last.stride = static_cast<std::uint8_t>(step);
+                ++last.len;
+                return;
+            }
+            if (step == last.stride) {
+                ++last.len;
+                return;
+            }
+        }
+    }
+    r.runs.push_back({s.sg, static_cast<std::int16_t>(dst),
+                      static_cast<std::int16_t>(s.src), 1, 1, s.flip});
+    // A donor can only change where a run starts.
+    if (std::find(r.donors.begin(), r.donors.end(), s.src_key) == r.donors.end()) {
+        r.donors.push_back(s.src_key);
+    }
+}
+
+/// Resolve every ghost cell of node `np.key` into `np`'s region runs, in
+/// (i, j, kk) order so that runs follow the contiguous k axis. `scratch`
+/// keeps its capacity across the nodes of one task; `np` gets exact copies.
+void resolve_node(const tree& t, boundary_kind bc, node_ghost_plan& scratch,
+                  node_ghost_plan& np) {
+    for (auto& r : scratch.regions) {
+        r.runs.clear();
+        r.corrections.clear();
+        r.donors.clear();
+    }
+    for (int i = 0; i < NX; ++i)
+        for (int j = 0; j < NX; ++j)
+            for (int kk = 0; kk < NX; ++kk) {
+                if (subgrid::is_interior(i, j, kk)) continue;
+                const ghost_source s = resolve_ghost(t, np.key, i, j, kk, bc);
+                const auto dst = static_cast<std::int32_t>(subgrid::index(i, j, kk));
+                auto& r = scratch.regions[ghost_region_of(i, j, kk)];
+                append_cell(r, dst, s);
+                if (s.coarse) r.corrections.push_back({dst, s.dr});
+            }
+    for (int r = 0; r < n_ghost_regions; ++r) {
+        const auto& from = scratch.regions[r];
+        auto& to = np.regions[r];
+        to.runs.assign(from.runs.begin(), from.runs.end());
+        to.corrections.assign(from.corrections.begin(), from.corrections.end());
+        to.donors.assign(from.donors.begin(), from.donors.end());
+    }
+}
+
+/// Rebuild the plan for every node with field data, coarse to fine. The
+/// slots are laid out serially; the per-cell resolution of the nodes runs as
+/// tasks on `pool`, each writing only its own slots, so the plan does not
+/// depend on the pool.
+void rebuild_plan(ghost_plan& plan, tree& t, boundary_kind bc,
+                  rt::thread_pool& pool) {
     plan.nodes.clear();
     plan.nodes.reserve(t.size());
     for (int level = 0; level <= t.max_level(); ++level) {
         for (const node_key k : t.levels()[level]) {
             auto& n = t.node(k);
             if (n.fields == nullptr) continue;
-            node_ghost_plan np;
+            node_ghost_plan& np = plan.nodes.emplace_back();
             np.key = k;
             np.g = n.fields.get();
             np.leaf = !n.refined;
-            for (int i = 0; i < NX; ++i)
-                for (int j = 0; j < NX; ++j)
-                    for (int kk = 0; kk < NX; ++kk) {
-                        if (subgrid::is_interior(i, j, kk)) continue;
-                        const ghost_source s = resolve_ghost(t, k, i, j, kk, bc);
-                        const auto dst =
-                            static_cast<std::int32_t>(subgrid::index(i, j, kk));
-                        auto& r = np.regions[ghost_region_of(i, j, kk)];
-                        r.entries.push_back({dst, s.src, s.sg, s.flip});
-                        if (s.coarse) r.corrections.push_back({dst, s.dr});
-                        if (std::find(r.donors.begin(), r.donors.end(),
-                                      s.src_key) == r.donors.end()) {
-                            r.donors.push_back(s.src_key);
-                        }
-                    }
-            plan.nodes.push_back(std::move(np));
         }
     }
+    const std::size_t count = plan.nodes.size();
+    const std::size_t chunks = std::min<std::size_t>(count, std::size_t{4} * pool.size());
+    std::vector<rt::future<void>> fs;
+    fs.reserve(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t lo = count * c / chunks;
+        const std::size_t hi = count * (c + 1) / chunks;
+        fs.push_back(rt::async(pool, [&plan, &t, bc, lo, hi] {
+            node_ghost_plan scratch;
+            for (std::size_t n = lo; n < hi; ++n) {
+                resolve_node(t, bc, scratch, plan.nodes[n]);
+            }
+        }));
+    }
+    for (auto& f : fs) f.get(); // helps run the tasks while it waits
     plan.tree_id = t.id();
     plan.revision = t.revision();
     plan.bc = bc;
@@ -201,7 +263,8 @@ void rebuild_plan(ghost_plan& plan, tree& t, boundary_kind bc) {
 
 } // namespace
 
-const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc) {
+const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc,
+                                     rt::thread_pool* pool) {
     // Refined-node storage is allocated up front (it would bump the tree
     // revision and invalidate the plan mid-flight otherwise), matching what
     // restrict_tree does lazily.
@@ -213,16 +276,34 @@ const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc) {
     ghost_plan& plan = cached_plan();
     if (!plan.valid || plan.tree_id != t.id() || plan.revision != t.revision() ||
         plan.bc != bc) {
-        rebuild_plan(plan, t, bc);
+        rebuild_plan(plan, t, bc,
+                     pool != nullptr ? *pool : rt::thread_pool::global());
     } else {
         rt::apex_count("amr.halo_plan_hits");
     }
     return plan;
 }
 
-void apply_ghost_region(subgrid& g, const ghost_region_plan& r) {
-    for (const auto& e : r.entries) {
-        apply_ghost(g, e.dst, *e.sg, e.src, e.flip);
+void apply_ghost_region(subgrid& g, const ghost_region_plan& r, int n_copy) {
+    OCTO_ASSERT(n_copy > f_lz && n_copy <= n_fields); // spin correction inputs
+    // Run by run, with the fields innermost: the copy loop has a fixed trip
+    // count and no sign test, and the reflecting flips are applied once per
+    // (run, flipped field) afterwards. Field-major order (all runs of one
+    // field, then the next) pays a mispredicted short-loop exit per (run,
+    // field); it replayed 25-35% slower on a 4-vCPU AVX-512 Xeon
+    // (EXPERIMENTS.md).
+    double* const out = g.field_data(0);
+    for (const ghost_run& run : r.runs) {
+        const double* in = run.sg->field_data(0) + run.src;
+        double* d = out + run.dst;
+        for (int n = 0; n < run.len; ++n) {
+            for (int f = 0; f < n_copy; ++f) d[n + f * NX3] = in[n * run.stride + f * NX3];
+        }
+        for (int a = 0; a < 3; ++a) {
+            if ((run.flip & (1u << a)) == 0) continue;
+            double* m = d + (f_sx + a) * NX3;
+            for (int n = 0; n < run.len; ++n) m[n] = -m[n];
+        }
     }
     for (const auto& c : r.corrections) {
         apply_spin_correction(g, c.dst, c.dr);
@@ -283,7 +364,7 @@ void fill_all_ghosts(tree& t, boundary_kind bc) {
     const ghost_plan& plan = acquire_ghost_plan(t, bc);
     for (const auto& np : plan.nodes) {
         for (const auto& r : np.regions) {
-            apply_ghost_region(*np.g, r);
+            apply_ghost_region(*np.g, r, n_fields);
         }
     }
 }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "amr/tree.hpp"
-#include "support/aligned.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace octo::amr {
 
@@ -26,7 +26,11 @@ enum class boundary_kind {
 // Resolving a ghost cell is pure address computation on the tree structure:
 // for an unchanged tree it yields the same (source sub-grid, cell, flip,
 // correction) tuple every time, so the resolved addresses are cached as a
-// flat plan keyed on (tree id, revision, boundary kind) and replayed.
+// plan keyed on (tree id, revision, boundary kind) and replayed. Along the
+// innermost (k) axis consecutive ghost cells mostly read consecutive cells of
+// one donor, or one donor cell repeatedly, so the plan stores *runs* of such
+// cells and the replay copies a run's cells with one fixed-length field loop
+// per cell and one sign flip per (run, flipped momentum field).
 //
 // The plan is split per *region* of the ghost shell — the six faces plus one
 // bucket for all edges and corners — and each region records the set of
@@ -34,15 +38,26 @@ enum class boundary_kind {
 // stage needs: a flux sweep along axis `a` only consumes the two face
 // regions 2a and 2a+1, so a face-fill task can fire as soon as its (few)
 // donors are ready instead of waiting on a whole-tree barrier.
+//
+// Ghost contract: fill_all_ghosts makes every ghost of every field current.
+// hydro::step fills only the face regions of the hydro fields (the only
+// ghosts its flux sweeps read); after a step the edge/corner ghosts and the
+// radiation-field ghosts are stale. Call fill_all_ghosts before reading them.
 
-/// One ghost-cell copy: destination/source flat indices within a field
-/// plane, the source sub-grid, and the reflecting-boundary momentum flips.
-struct ghost_copy {
-    std::int32_t dst;
-    std::int32_t src;
+/// A run of ghost cells: `len` consecutive destination cells starting at
+/// flat index `dst`, read from sub-grid `sg` starting at flat index `src`
+/// with `stride` 1 (consecutive source cells) or 0 (one source cell for the
+/// whole run: an outflow clamp or a coarse donor's cell pair), under one set
+/// of reflecting-boundary momentum flips (bit a: negate component a).
+struct ghost_run {
     const subgrid* sg;
+    std::int16_t dst;
+    std::int16_t src;
+    std::int16_t len;
+    std::uint8_t stride;
     std::uint8_t flip;
 };
+static_assert(NX3 <= 32767, "ghost_run indices are 16-bit");
 
 /// Coarse-donor spin correction: the ghost's momentum, sampled about the
 /// coarse cell center, carries an orbital-L offset folded into spin.
@@ -52,7 +67,8 @@ struct ghost_correction {
 };
 
 /// Ghost-shell regions: 0..5 = faces (-x,+x,-y,+y,-z,+z), 6 = edges+corners.
-inline constexpr int n_ghost_regions = 7;
+inline constexpr int n_ghost_faces = 6;
+inline constexpr int n_ghost_regions = n_ghost_faces + 1;
 
 /// Face region index for axis a and direction dir (-1/+1).
 inline constexpr int ghost_face_region(int a, int dir) {
@@ -60,9 +76,9 @@ inline constexpr int ghost_face_region(int a, int dir) {
 }
 
 struct ghost_region_plan {
-    aligned_vector<ghost_copy> entries;
-    aligned_vector<ghost_correction> corrections;
-    std::vector<node_key> donors; ///< unique nodes whose data the copies read
+    std::vector<ghost_run> runs;
+    std::vector<ghost_correction> corrections;
+    std::vector<node_key> donors; ///< unique nodes whose data the runs read
 };
 
 struct node_ghost_plan {
@@ -81,13 +97,19 @@ struct ghost_plan {
 };
 
 /// The cached plan for (t, bc), rebuilt when the tree structure changed.
-/// The returned reference stays valid until the next rebuild. Like
-/// fill_all_ghosts, not callable concurrently with tree mutation.
-const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc);
+/// A rebuild resolves the nodes as tasks on `pool` (the global pool when
+/// null); the plan is the same for any pool. The returned reference stays
+/// valid until the next rebuild. Like fill_all_ghosts, not callable
+/// concurrently with tree mutation.
+const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc,
+                                     rt::thread_pool* pool = nullptr);
 
-/// Replay one region of one node's plan (thread-safe per destination node as
-/// long as no task writes the donors' interiors concurrently).
-void apply_ghost_region(subgrid& g, const ghost_region_plan& r);
+/// Replay one region of one node's plan over fields 0..n_copy-1 (n_fields
+/// for the whole state, n_hydro_fields for what the flux sweeps read; the
+/// spin correction needs at least the momentum and spin fields). Thread-safe
+/// per destination node as long as no task writes the donors' interiors
+/// concurrently.
+void apply_ghost_region(subgrid& g, const ghost_region_plan& r, int n_copy);
 
 /// Restrict the eight children of refined node `k` into its own field data.
 /// The parent storage must already exist (see acquire_ghost_plan, which
@@ -98,12 +120,14 @@ void restrict_node(tree& t, node_key k);
 /// interior nodes hold valid (conservatively averaged) field data.
 void restrict_tree(tree& t);
 
-/// Fill the ghost shell of node `k` (which must have field storage).
+/// Fill the ghost shell of node `k` (which must have field storage) cell by
+/// cell, without the plan: the reference the plan replay is tested against.
 void fill_ghosts(tree& t, node_key k, boundary_kind bc);
 
-/// restrict_tree + fill_ghosts on every node with field data, replayed from
-/// the cached plan — fill_all_ghosts runs once per RK stage, so in steady
-/// state the per-cell neighbor resolution is skipped entirely. Not
+/// restrict_tree + every ghost region of every field on every node with
+/// field data, replayed from the cached plan, so in steady state the per-cell
+/// neighbor resolution is skipped entirely. The only way to make the
+/// edge/corner and radiation-field ghosts current after hydro::step. Not
 /// thread-safe (it mutates sub-grid ghost shells, as ever).
 void fill_all_ghosts(tree& t, boundary_kind bc);
 

@@ -44,6 +44,8 @@ class subgrid {
                k >= H_BW && k < H_BW + INX;
     }
 
+    /// Start of field f's NX3 plane. The planes are consecutive in one
+    /// allocation: field_data(f) == field_data(0) + f * NX3.
     double* field_data(int f) {
         OCTO_ASSERT(f >= 0 && f < n_fields);
         return data_.data() + static_cast<std::size_t>(f) * NX3;

@@ -30,9 +30,6 @@ inline constexpr int n_faces = amr::INX + 1;
 /// Reconstructed variables: rho, v, p as primitives; tau, passives and spin
 /// as mass fractions (q/rho).
 inline constexpr int n_recon_vars = 6 + amr::n_passive + 3;
-/// Fields transported by the hydro fluxes (radiation moments ride on the
-/// sub-grids but are advanced by the radiation solver, not here).
-inline constexpr int n_hydro_fields = amr::f_frac_atmosphere + 1;
 
 /// Face-flux storage of one leaf, struct-of-arrays: for each axis, n_fields
 /// planes of (INX+1) x INX x INX face values. Plane index p along the axis

@@ -353,7 +353,7 @@ const void* flux_region(const leaf_flux_soa* f, int axis) {
 double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
     // Serial prologue: plan acquisition (allocates refined-node storage so no
     // task mutates the tree) and the pure-structure task lists.
-    const ghost_plan& gp = acquire_ghost_plan(t, opt.bc);
+    const ghost_plan& gp = acquire_ghost_plan(t, opt.bc, &pool);
     std::unordered_map<node_key, const node_ghost_plan*> plans;
     std::vector<node_key> refined; // coarse-to-fine order
     plans.reserve(gp.nodes.size());
@@ -524,17 +524,18 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
             }
         };
 
-        // 2. Ghost-fill tasks: one per region (six faces + edges/corners) of
-        // every leaf, gated only on that region's donors.
-        std::unordered_map<node_key,
-                           std::array<rt::future<void>, n_ghost_regions>>
+        // 2. Ghost-fill tasks: one per face region of every leaf, gated only
+        // on that region's donors. The flux sweeps read nothing else of the
+        // ghost shell, so the edges/corners are not filled and only the
+        // hydro fields are copied.
+        std::unordered_map<node_key, std::array<rt::future<void>, n_ghost_faces>>
             fill_f;
         for (const node_key k : leaves) {
             leaf_ctx& lc = ctx.at(k);
             auto& fills = fill_f[k];
-            for (int r = 0; r < n_ghost_regions; ++r) {
+            for (int r = 0; r < n_ghost_faces; ++r) {
                 const ghost_region_plan& region = lc.plan->regions[r];
-                if (region.entries.empty()) {
+                if (region.runs.empty()) {
                     fills[static_cast<std::size_t>(r)] = rt::make_ready_future();
                     continue;
                 }
@@ -555,7 +556,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                                  }
                                  sanitize::region_write(ghost_region_key(g, r),
                                                         "hydro.ghosts");
-                                 apply_ghost_region(*g, region);
+                                 apply_ghost_region(*g, region, n_hydro_fields);
                                  fills_total->fetch_add(
                                      1, std::memory_order_relaxed);
                                  if (flux_started->load(

@@ -528,10 +528,6 @@ tree read_checkpoint(const std::string& path) {
     return std::move(read_any(path).data.t);
 }
 
-checkpoint_data read_checkpoint_full(const std::string& path) {
-    return std::move(read_any(path).data);
-}
-
 leaf_digest_map leaf_digests(const tree& t) {
     const std::vector<node_key> leaves = layout_of(t).leaves;
     return digest_map(leaves, digest_leaves(t, leaves, nullptr));

@@ -78,10 +78,6 @@ leaf_digest_map write_checkpoint(const amr::tree& t, const std::string& path,
 /// out-of-bounds key (APEX counter: io.checkpoint_crc_failures).
 amr::tree read_checkpoint(const std::string& path);
 
-/// As read_checkpoint, but also returns the simulation metadata (v1 files
-/// report zeros — they predate the meta header).
-checkpoint_data read_checkpoint_full(const std::string& path);
-
 // ---- incremental checkpoint deltas (ISSUE 10) -------------------------------
 
 /// Compute the digests a v3 full image of `t` would carry, in parallel on
@@ -121,7 +117,9 @@ delta_stats write_checkpoint_delta(const amr::tree& t, const std::string& path,
 /// every later entry a delta bound to that base (later deltas supersede
 /// earlier ones — each is base-relative). Throws octo::error on any CRC
 /// mismatch, a delta whose base_crc does not match the loaded base, or a
-/// clean leaf the base cannot supply.
+/// clean leaf the base cannot supply. A one-entry chain reads one full
+/// image with its simulation metadata (v1 files report zeros — they predate
+/// the meta header).
 checkpoint_data read_checkpoint_chain(const std::vector<std::string>& chain);
 
 } // namespace octo::io

@@ -18,7 +18,6 @@ namespace octo::kernel {
 using namespace octo::amr;
 using hydro::leaf_flux_soa;
 using hydro::n_faces;
-using hydro::n_hydro_fields;
 using hydro::pencil_workspace;
 using hydro::rho_floor;
 using hydro::tau_floor;

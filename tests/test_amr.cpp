@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "amr/config.hpp"
 #include "amr/halo.hpp"
@@ -14,6 +17,7 @@
 #include "amr/prolong.hpp"
 #include "amr/subgrid.hpp"
 #include "amr/tree.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -450,6 +454,117 @@ TEST(Halo, PlanCacheSurvivesRefinement) {
                             << "field " << f;
                     }
     }
+}
+
+/// A tree with coarse-fine faces (one level-1 octant refined once more) and
+/// every field of every leaf set to a distinct nonzero value, momentum
+/// included, so that reflecting flips and coarse-donor spin corrections
+/// both change the ghosts they touch.
+tree make_mixed_tree() {
+    tree t(unit_root());
+    t.refine(root_key);
+    t.refine(key_child(root_key, 5));
+    for (const auto k : t.leaves_sfc()) {
+        auto& g = t.ensure_fields(k);
+        const double lv = key_level(k);
+        for (int f = 0; f < n_fields; ++f)
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        const double sign = f >= f_sx && f <= f_sz && (i + f) % 2 == 0
+                                                ? -1.0
+                                                : 1.0;
+                        g.interior(f, i, j, kk) =
+                            sign * (1.0 + 0.1 * f + 0.37 * lv + 0.01 * i +
+                                    0.003 * j + 0.0007 * kk);
+                    }
+    }
+    return t;
+}
+
+TEST(Halo, RunPlanMatchesPerCellFill) {
+    // The run-coalesced plan replayed by fill_all_ghosts must reproduce the
+    // per-cell fill_ghosts reference bit for bit: every field, every one of
+    // the NX^3 cells, under all three boundary kinds (periodic wraps,
+    // reflecting flips momentum signs, and the refined octant puts coarse
+    // donors with spin corrections next to fine leaves).
+    for (const auto bc : {boundary_kind::outflow, boundary_kind::reflecting,
+                          boundary_kind::periodic}) {
+        SCOPED_TRACE(static_cast<int>(bc));
+        tree t = make_mixed_tree();
+        fill_all_ghosts(t, bc);
+
+        // Runs cover each ghost cell exactly once, and they do coalesce.
+        const auto& plan = acquire_ghost_plan(t, bc);
+        std::size_t runs = 0;
+        for (const auto& np : plan.nodes) {
+            std::vector<int> hits(NX3, 0);
+            for (const auto& r : np.regions) {
+                runs += r.runs.size();
+                for (const auto& run : r.runs) {
+                    ASSERT_LE(run.stride, 1);
+                    for (int n = 0; n < run.len; ++n) ++hits[run.dst + n];
+                }
+            }
+            for (int i = 0; i < NX; ++i)
+                for (int j = 0; j < NX; ++j)
+                    for (int kk = 0; kk < NX; ++kk) {
+                        EXPECT_EQ(hits[subgrid::index(i, j, kk)],
+                                  subgrid::is_interior(i, j, kk) ? 0 : 1);
+                    }
+        }
+        EXPECT_LT(runs, plan.nodes.size() * (NX3 - INX3) / 2);
+
+        for (const auto k : t.leaves_sfc()) {
+            auto& live = *t.node(k).fields;
+            const subgrid from_plan = live;
+            fill_ghosts(t, k, bc);
+            std::size_t differ = 0;
+            for (int f = 0; f < n_fields; ++f)
+                for (int i = 0; i < NX; ++i)
+                    for (int j = 0; j < NX; ++j)
+                        for (int kk = 0; kk < NX; ++kk) {
+                            differ += std::bit_cast<std::uint64_t>(live.at(f, i, j, kk)) !=
+                                      std::bit_cast<std::uint64_t>(from_plan.at(f, i, j, kk));
+                        }
+            EXPECT_EQ(differ, 0u) << "leaf " << k;
+        }
+    }
+}
+
+TEST(Halo, PlanIsIndependentOfThePool) {
+    // The plan's nodes are resolved as pool tasks; one worker and four must
+    // build the same runs, corrections and donor lists in the same order.
+    tree t = make_mixed_tree();
+    const auto snapshot = [&](rt::thread_pool& pool) {
+        (void)acquire_ghost_plan(t, boundary_kind::outflow, &pool); // evict
+        std::vector<std::uint64_t> out;
+        for (const auto& np : acquire_ghost_plan(t, boundary_kind::reflecting, &pool).nodes) {
+            out.push_back(np.key);
+            for (const auto& r : np.regions) {
+                for (const auto& run : r.runs) {
+                    out.insert(out.end(),
+                               {reinterpret_cast<std::uintptr_t>(run.sg),
+                                static_cast<std::uint64_t>(run.dst),
+                                static_cast<std::uint64_t>(run.src),
+                                static_cast<std::uint64_t>(run.len), run.stride,
+                                run.flip});
+                }
+                for (const auto& c : r.corrections) {
+                    out.insert(out.end(), {static_cast<std::uint64_t>(c.dst),
+                                           std::bit_cast<std::uint64_t>(c.dr.x),
+                                           std::bit_cast<std::uint64_t>(c.dr.y),
+                                           std::bit_cast<std::uint64_t>(c.dr.z)});
+                }
+                out.insert(out.end(), r.donors.begin(), r.donors.end());
+            }
+        }
+        return out;
+    };
+    rt::thread_pool one(1), four(4);
+    const auto serial = snapshot(one);
+    EXPECT_EQ(snapshot(four), serial);
+    EXPECT_GT(serial.size(), 1000u);
 }
 
 // ---- partitioner -----------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "hydro/riemann_exact.hpp"
 #include "hydro/sedov.hpp"
 #include "hydro/update.hpp"
+#include "io/checkpoint.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -751,6 +753,64 @@ TEST(Schedule, IndependentOfPoolSizeOnRotatingStar) {
     };
     opt.before_stage = [] {}; // counted per run by the helper
     expect_schedules_identical(ic, opt, 3);
+}
+
+TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
+    // The step fills only what its flux sweeps read: the six face regions
+    // of the hydro fields. Poisoning every other ghost of every leaf with NaN
+    // before each step (the edges and corners of all fields, and the whole
+    // shell of the radiation fields) must leave the dt and every leaf
+    // interior bit-identical to an unpoisoned run. The tree has coarse-fine
+    // faces, the flow has momentum everywhere, and all three boundary kinds
+    // run, so coarse donors, spin corrections and reflecting flips all feed
+    // the face ghosts.
+    phys::ideal_gas_eos eos(1.4);
+    const auto ic = [&](const dvec3& r) {
+        state u = make_state(1.0 + 0.2 * std::sin(6.0 * r.x + 2.0 * r.y),
+                             {0.3 - 0.1 * r.z, -0.2 + 0.1 * r.x, 0.1 + 0.05 * r.y},
+                             0.8 + 0.1 * r.z, eos);
+        u[f_lx] = 1e-3 * r.y;
+        u[f_lz] = -1e-3 * r.x;
+        u[first_passive] = 0.5 * u[f_rho];
+        u[f_erad] = 0.25 + r.x;
+        u[f_frx] = 0.01 * r.z;
+        return u;
+    };
+    const auto poison = [](tree& t) {
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        const auto outside = [](int c) { return c < H_BW || c >= H_BW + INX; };
+        for (const auto k : t.leaves_sfc()) {
+            auto& g = *t.node(k).fields;
+            for (int i = 0; i < NX; ++i)
+                for (int j = 0; j < NX; ++j)
+                    for (int kk = 0; kk < NX; ++kk) {
+                        const int n = outside(i) + outside(j) + outside(kk);
+                        if (n == 0) continue;
+                        for (int f = n > 1 ? 0 : n_hydro_fields; f < n_fields; ++f) {
+                            g.at(f, i, j, kk) = nan;
+                        }
+                    }
+        }
+    };
+    for (const auto bc : {boundary_kind::outflow, boundary_kind::reflecting,
+                          boundary_kind::periodic}) {
+        SCOPED_TRACE(static_cast<int>(bc));
+        tree clean(unit_root()), poisoned(unit_root());
+        refine_amr(clean);
+        refine_amr(poisoned);
+        init_state(clean, ic);
+        init_state(poisoned, ic);
+        step_options opt;
+        opt.eos = eos;
+        opt.bc = bc;
+        for (int s = 0; s < 2; ++s) {
+            poison(poisoned);
+            const double dt_poisoned = step(poisoned, opt);
+            EXPECT_EQ(dt_poisoned, step(clean, opt));
+        }
+        EXPECT_EQ(io::leaf_digests(poisoned), io::leaf_digests(clean));
+        EXPECT_EQ(bit_differences(clean, poisoned), 0u);
+    }
 }
 
 TEST(Ablations, LedgerClosesOnDefaultSimdPath) {

@@ -186,7 +186,7 @@ TEST(Checkpoint, MetaSurvivesTheRoundTrip) {
     tree t = make_test_tree();
     const std::string path = "/tmp/octo_checkpoint_meta.bin";
     io::write_checkpoint(t, path, {.time = 3.25, .steps = 17});
-    const auto ck = io::read_checkpoint_full(path);
+    const auto ck = io::read_checkpoint_chain({path});
     std::remove(path.c_str());
     EXPECT_DOUBLE_EQ(ck.meta.time, 3.25);
     EXPECT_EQ(ck.meta.steps, 17);
@@ -859,7 +859,7 @@ TEST(Checkpoint, Version2FilesStayReadable) {
         for (const double v : img) put_crc(v);
         put(crc.value());
     }
-    const auto ck = io::read_checkpoint_full(path);
+    const auto ck = io::read_checkpoint_chain({path});
     EXPECT_DOUBLE_EQ(ck.meta.time, 1.5);
     EXPECT_EQ(ck.meta.steps, 42);
     ASSERT_EQ(ck.t.leaf_count(), 1u);
