@@ -203,7 +203,7 @@ int main() {
     const phys::ideal_gas_eos eos;
     hydro::pencil_workspace ws;
     hydro::leaf_flux_soa lf;
-    lf.reset();
+    lf.allocate();
     double ms = 0.0;
     const double sweep_flops = 3.0 * amr::INX3 * 400.0; // modeled, per 3-axis pass
     host_rows("hydro.leaf_fluxes", sweep_flops, rows, [&](bool vectorized) {

@@ -221,6 +221,33 @@ void resolve_node(const tree& t, boundary_kind bc, node_ghost_plan& scratch,
     }
 }
 
+/// Field storage for every refined node. Allocating bumps the tree revision,
+/// so it runs serially, before any plan check or task that needs the storage.
+void allocate_refined_storage(tree& t) {
+    for (int level = t.max_level() - 1; level >= 0; --level) {
+        for (const node_key k : t.levels()[level]) {
+            if (t.node(k).refined) t.ensure_fields(k);
+        }
+    }
+}
+
+/// Run body(lo, hi) over [0, count) split into up to 4 contiguous chunks
+/// per worker, as tasks on `pool`, and wait (helping) for all of them. The
+/// bodies must write disjoint data; the result then does not depend on the
+/// pool.
+template <class Body>
+void for_chunks(rt::thread_pool& pool, std::size_t count, const Body& body) {
+    const std::size_t chunks = std::min<std::size_t>(count, std::size_t{4} * pool.size());
+    std::vector<rt::future<void>> fs;
+    fs.reserve(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t lo = count * c / chunks;
+        const std::size_t hi = count * (c + 1) / chunks;
+        fs.push_back(rt::async(pool, [&body, lo, hi] { body(lo, hi); }));
+    }
+    for (auto& f : fs) f.get(); // helps run the tasks while it waits
+}
+
 /// Rebuild the plan for every node with field data, coarse to fine. The
 /// slots are laid out serially; the per-cell resolution of the nodes runs as
 /// tasks on `pool`, each writing only its own slots, so the plan does not
@@ -239,21 +266,12 @@ void rebuild_plan(ghost_plan& plan, tree& t, boundary_kind bc,
             np.leaf = !n.refined;
         }
     }
-    const std::size_t count = plan.nodes.size();
-    const std::size_t chunks = std::min<std::size_t>(count, std::size_t{4} * pool.size());
-    std::vector<rt::future<void>> fs;
-    fs.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = count * c / chunks;
-        const std::size_t hi = count * (c + 1) / chunks;
-        fs.push_back(rt::async(pool, [&plan, &t, bc, lo, hi] {
-            node_ghost_plan scratch;
-            for (std::size_t n = lo; n < hi; ++n) {
-                resolve_node(t, bc, scratch, plan.nodes[n]);
-            }
-        }));
-    }
-    for (auto& f : fs) f.get(); // helps run the tasks while it waits
+    for_chunks(pool, plan.nodes.size(), [&plan, &t, bc](std::size_t lo, std::size_t hi) {
+        node_ghost_plan scratch;
+        for (std::size_t n = lo; n < hi; ++n) {
+            resolve_node(t, bc, scratch, plan.nodes[n]);
+        }
+    });
     plan.tree_id = t.id();
     plan.revision = t.revision();
     plan.bc = bc;
@@ -265,14 +283,9 @@ void rebuild_plan(ghost_plan& plan, tree& t, boundary_kind bc,
 
 const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc,
                                      rt::thread_pool* pool) {
-    // Refined-node storage is allocated up front (it would bump the tree
-    // revision and invalidate the plan mid-flight otherwise), matching what
-    // restrict_tree does lazily.
-    for (int level = t.max_level() - 1; level >= 0; --level) {
-        for (const node_key k : t.levels()[level]) {
-            if (t.node(k).refined) t.ensure_fields(k);
-        }
-    }
+    // Refined-node storage is allocated up front: it would bump the tree
+    // revision and invalidate the plan mid-flight otherwise.
+    allocate_refined_storage(t);
     ghost_plan& plan = cached_plan();
     if (!plan.valid || plan.tree_id != t.id() || plan.revision != t.revision() ||
         plan.bc != bc) {
@@ -325,15 +338,20 @@ void restrict_node(tree& t, node_key k) {
     }
 }
 
-void restrict_tree(tree& t) {
-    // Finest to coarsest so parents always see up-to-date children.
+void restrict_tree(tree& t, rt::thread_pool* pool) {
+    rt::thread_pool& p = pool != nullptr ? *pool : rt::thread_pool::global();
+    allocate_refined_storage(t);
+    // Finest to coarsest so parents always see up-to-date children. The
+    // refined nodes of one level write disjoint parents.
+    std::vector<node_key> refined;
     for (int level = t.max_level() - 1; level >= 0; --level) {
+        refined.clear();
         for (const node_key k : t.levels()[level]) {
-            auto& n = t.node(k);
-            if (!n.refined) continue;
-            t.ensure_fields(k);
-            restrict_node(t, k);
+            if (t.node(k).refined) refined.push_back(k);
         }
+        for_chunks(p, refined.size(), [&t, &refined](std::size_t lo, std::size_t hi) {
+            for (std::size_t n = lo; n < hi; ++n) restrict_node(t, refined[n]);
+        });
     }
 }
 
@@ -356,17 +374,21 @@ void fill_ghosts(tree& t, node_key k, boundary_kind bc) {
     }
 }
 
-void fill_all_ghosts(tree& t, boundary_kind bc) {
+void fill_all_ghosts(tree& t, boundary_kind bc, rt::thread_pool* pool) {
+    rt::thread_pool& p = pool != nullptr ? *pool : rt::thread_pool::global();
     // restrict_tree may allocate parent field storage (bumping the tree
     // revision), so it runs before the plan check.
-    restrict_tree(t);
+    restrict_tree(t, &p);
+    const ghost_plan& plan = acquire_ghost_plan(t, bc, &p);
 
-    const ghost_plan& plan = acquire_ghost_plan(t, bc);
-    for (const auto& np : plan.nodes) {
-        for (const auto& r : np.regions) {
-            apply_ghost_region(*np.g, r, n_fields);
+    // Replay: each node writes only its own ghost shell and reads only
+    // donor interiors, which nothing writes any more.
+    for_chunks(p, plan.nodes.size(), [&plan](std::size_t lo, std::size_t hi) {
+        for (std::size_t n = lo; n < hi; ++n) {
+            const node_ghost_plan& np = plan.nodes[n];
+            for (const auto& r : np.regions) apply_ghost_region(*np.g, r, n_fields);
         }
-    }
+    });
 }
 
 } // namespace octo::amr

@@ -117,8 +117,10 @@ void apply_ghost_region(subgrid& g, const ghost_region_plan& r, int n_copy);
 void restrict_node(tree& t, node_key k);
 
 /// Bottom-up pass: restrict every refined node's children into it, so all
-/// interior nodes hold valid (conservatively averaged) field data.
-void restrict_tree(tree& t);
+/// interior nodes hold valid (conservatively averaged) field data. Allocates
+/// missing refined-node storage first, then restricts level by level, each
+/// level's nodes as tasks on `pool` (the global pool when null).
+void restrict_tree(tree& t, rt::thread_pool* pool = nullptr);
 
 /// Fill the ghost shell of node `k` (which must have field storage) cell by
 /// cell, without the plan: the reference the plan replay is tested against.
@@ -127,8 +129,10 @@ void fill_ghosts(tree& t, node_key k, boundary_kind bc);
 /// restrict_tree + every ghost region of every field on every node with
 /// field data, replayed from the cached plan, so in steady state the per-cell
 /// neighbor resolution is skipped entirely. The only way to make the
-/// edge/corner and radiation-field ghosts current after hydro::step. Not
-/// thread-safe (it mutates sub-grid ghost shells, as ever).
-void fill_all_ghosts(tree& t, boundary_kind bc);
+/// edge/corner and radiation-field ghosts current after hydro::step.
+/// Restriction and the replay (node by node) run as tasks on `pool` (the
+/// global pool when null); the result is the same for any pool.
+/// Not callable concurrently with anything else touching the tree.
+void fill_all_ghosts(tree& t, boundary_kind bc, rt::thread_pool* pool = nullptr);
 
 } // namespace octo::amr

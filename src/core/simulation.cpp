@@ -170,7 +170,7 @@ int simulation::regrid(
     bool changed = true;
     while (changed) {
         changed = false;
-        fill_all_ghosts(tree_, opt_.bc); // prolongation slopes need ghosts
+        fill_all_ghosts(tree_, opt_.bc, opt_.pool); // prolongation slopes need ghosts
         // Criterion-driven refinement.
         for (const node_key k : tree_.leaves_sfc()) {
             if (key_level(k) >= max_level) continue;

@@ -31,16 +31,21 @@ inline constexpr int n_faces = amr::INX + 1;
 /// as mass fractions (q/rho).
 inline constexpr int n_recon_vars = 6 + amr::n_passive + 3;
 
-/// Face-flux storage of one leaf, struct-of-arrays: for each axis, n_fields
-/// planes of (INX+1) x INX x INX face values. Plane index p along the axis
-/// is the face between cells p-1 and p. Recycled storage.
+/// Face-flux storage of one leaf, struct-of-arrays: for each axis,
+/// n_hydro_fields planes of (INX+1) x INX x INX face values. Plane index p
+/// along the axis is the face between cells p-1 and p. The radiation fields
+/// have no planes: the radiation solver advances them, the hydro step leaves
+/// them untouched. Recycled storage, never zero-filled: every sweep's
+/// flux_body writes every face of its axis's planes before any reflux or
+/// update reads them.
 struct leaf_flux_soa {
-    aligned_vector<double> f[3];
+    scratch_vector<double> f[3];
     static constexpr int plane_size = n_faces * pencil_lanes;
 
-    void reset() {
+    /// Size every axis to n_hydro_fields planes (contents indeterminate).
+    void allocate() {
         for (auto& a : f) {
-            a.assign(static_cast<std::size_t>(amr::n_fields) * plane_size, 0.0);
+            a.resize(static_cast<std::size_t>(amr::n_hydro_fields) * plane_size);
         }
     }
 
@@ -69,14 +74,16 @@ struct leaf_flux_soa {
     }
 };
 
-/// Recycled scratch of one flux sweep (all arrays fully overwritten
-/// each call, so resize-without-clear out of the buffer recycler suffices).
+/// Scratch of one flux sweep. Each worker thread keeps one and reuses it for
+/// every sweep it runs; gather, primitives, reconstruction and flux overwrite
+/// every element a later stage reads, so it is sized once and never
+/// initialized.
 struct pencil_workspace {
-    aligned_vector<double> u;     ///< [n_fields][pencil_len][lanes] conserved
-    aligned_vector<double> qv;    ///< [n_recon_vars][pencil_len][lanes]
-    aligned_vector<double> iface; ///< [recon_cells+1][lanes] interface values
-    aligned_vector<double> flo;   ///< [n_recon_vars][recon_cells][lanes]
-    aligned_vector<double> fhi;   ///< [n_recon_vars][recon_cells][lanes]
+    scratch_vector<double> u;     ///< [n_hydro_fields][pencil_len][lanes] conserved
+    scratch_vector<double> qv;    ///< [n_recon_vars][pencil_len][lanes]
+    scratch_vector<double> iface; ///< [recon_cells+1][lanes] interface values
+    scratch_vector<double> flo;   ///< [n_recon_vars][recon_cells][lanes]
+    scratch_vector<double> fhi;   ///< [n_recon_vars][recon_cells][lanes]
 };
 
 // The flux-sweep kernels over this layout live in src/kernel/hydro.{hpp,cpp}

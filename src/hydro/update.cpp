@@ -40,11 +40,13 @@ void axis_cell(int axis, int p, int b, int c, int& i, int& j, int& k) {
 
 /// One leaf's flux sweep along `axis` through the portable kernel layer
 /// (gather + primitives + reconstruction + KT flux, at the width
-/// opt.vectorized selects).
+/// opt.vectorized selects). The workspace is the calling thread's own — a
+/// pool worker's, or the offload executor's — sized by its first sweep and
+/// reused, never cleared, by every later one.
 void compute_axis_fluxes(const subgrid& g, int axis, const step_options& opt,
                          leaf_flux_soa& out) {
     double ms = 0.0; // diagnostic only; dt comes from the CFL reduction
-    pencil_workspace ws; // recycled
+    thread_local pencil_workspace ws;
     kernel::run_leaf_fluxes(opt.vectorized, g, axis, opt.eos, opt.use_ppm, ws, out,
                             &ms);
 }
@@ -137,10 +139,10 @@ void reflux_face(tree& t, node_key coarse, int axis, int dir,
                     const int fc = 2 * (c % (INX / 2)) + dc;
                     const int fi = leaf_flux_soa::findex(axis, fplane, fb, fc);
                     state f;
-                    for (int q = 0; q < n_fields; ++q) {
+                    for (int q = 0; q < n_hydro_fields; ++q) {
                         f[static_cast<std::size_t>(q)] = ff.plane(axis, q)[fi];
                     }
-                    for (int q = 0; q < n_fields; ++q) {
+                    for (int q = 0; q < n_hydro_fields; ++q) {
                         sum[static_cast<std::size_t>(q)] +=
                             f[static_cast<std::size_t>(q)];
                     }
@@ -156,7 +158,7 @@ void reflux_face(tree& t, node_key coarse, int axis, int dir,
                 }
             }
             const int cfi = leaf_flux_soa::findex(axis, cplane, b, c);
-            for (int q = 0; q < n_fields; ++q) {
+            for (int q = 0; q < n_hydro_fields; ++q) {
                 cf.plane(axis, q)[cfi] = sum[static_cast<std::size_t>(q)] / 4.0;
             }
             moments[static_cast<std::size_t>(b * INX + c)].m = moment;
@@ -245,11 +247,12 @@ void apply_sources(subgrid& g, node_key k, const step_options& opt, double dt,
             }
 }
 
-/// u0 snapshot layout: [q][i][j][k] over interior cells.
-void save_u0(const subgrid& g, aligned_vector<double>& v) {
-    v.resize(static_cast<std::size_t>(n_fields) * INX3);
+/// u0 snapshot layout: [q][i][j][k] over the interior cells of the hydro
+/// fields (the blend reads nothing else).
+void save_u0(const subgrid& g, scratch_vector<double>& v) {
+    v.resize(static_cast<std::size_t>(n_hydro_fields) * INX3);
     std::size_t idx = 0;
-    for (int q = 0; q < n_fields; ++q)
+    for (int q = 0; q < n_hydro_fields; ++q)
         for (int i = 0; i < INX; ++i)
             for (int j = 0; j < INX; ++j)
                 for (int kk = 0; kk < INX; ++kk, ++idx) {
@@ -262,7 +265,7 @@ void save_u0(const subgrid& g, aligned_vector<double>& v) {
 void update_leaf(node_key k, subgrid& g, const leaf_flux_soa& lf, double dt,
                  const step_options& opt,
                  const std::vector<const reflux_entry*>& refl,
-                 const aligned_vector<double>* u0) {
+                 const scratch_vector<double>* u0) {
     const bool need_sources =
         static_cast<bool>(opt.gravity) || norm2(opt.omega) > 0.0;
     aligned_vector<double> old_rho;
@@ -333,7 +336,7 @@ struct leaf_ctx {
     subgrid* g = nullptr;
     const node_ghost_plan* plan = nullptr;
     leaf_flux_soa fluxes;
-    aligned_vector<double> u0;
+    scratch_vector<double> u0;
     std::vector<const reflux_entry*> refluxes;
 };
 
@@ -352,7 +355,9 @@ const void* flux_region(const leaf_flux_soa* f, int axis) {
 
 double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
     // Serial prologue: plan acquisition (allocates refined-node storage so no
-    // task mutates the tree) and the pure-structure task lists.
+    // task mutates the tree), the leaf contexts and the pure-structure task
+    // lists. The contexts' flux planes come out of the recycler unfilled, so
+    // building them costs a few free-list pops per leaf.
     const ghost_plan& gp = acquire_ghost_plan(t, opt.bc, &pool);
     std::unordered_map<node_key, const node_ghost_plan*> plans;
     std::vector<node_key> refined; // coarse-to-fine order
@@ -369,7 +374,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
         leaf_ctx& lc = ctx[k];
         lc.g = t.node(k).fields.get();
         lc.plan = plans.at(k);
-        lc.fluxes.reset();
+        lc.fluxes.allocate();
     }
 
     // Reflux adjacency (structure only; moments rewritten each stage).

@@ -81,7 +81,8 @@ struct step_options {
 /// Ghost contract: after step() only the face ghosts of the hydro fields
 /// (amr::n_hydro_fields) are current; the edge/corner ghosts and the
 /// radiation-field ghosts are stale, so call amr::fill_all_ghosts before
-/// reading any other ghost.
+/// reading any other ghost. The radiation fields' interiors are left bitwise
+/// as they were.
 /// Discarding the dt loses the only record of how far time advanced.
 [[nodiscard]] double step(amr::tree& t, const step_options& opt);
 

@@ -84,9 +84,11 @@ void primitives_body(const double* u, const ideal_gas_eos& eos, double* qv) {
     }
 }
 
-/// minmod with the branches as masked selects.
+/// minmod with the branches as masked selects. Forced inline: out of line,
+/// the pack<8> instantiation passes its zmm arguments through the stack and
+/// clobbers every vector register at each of the four calls per lane group.
 template <class T>
-T mm(const T& a, const T& b) {
+[[gnu::always_inline]] inline T mm(const T& a, const T& b) {
     const T zero(0.0);
     return simd::select(a * b <= zero, zero,
                         simd::select(simd::abs(a) < simd::abs(b), a, b));
@@ -202,9 +204,9 @@ face_prim<T> assemble_face(const double* rec, std::size_t off, int axis,
     return out;
 }
 
-/// Kurganov–Tadmor flux over every face plane of the sweep. Writes the
-/// n_hydro_fields planes of `out` (radiation planes stay zero; they are
-/// advanced by the radiation solver).
+/// Kurganov–Tadmor flux over every face plane of the sweep. Writes every
+/// face of the n_hydro_fields planes of `out`, which is what lets the leaf
+/// flux storage skip zero-filling.
 template <class T>
 void flux_body(const double* flo, const double* fhi, int axis,
                const ideal_gas_eos& eos, leaf_flux_soa& out, double* max_speed) {
@@ -376,12 +378,15 @@ void flux_divergence_body(amr::subgrid& g, const leaf_flux_soa& lf, double dt) {
         }
 }
 
+/// RK blend of the hydro fields; the radiation fields are not the hydro
+/// step's to touch.
 template <class T>
-void blend_body(amr::subgrid& g, const aligned_vector<double>& u0) {
+void blend_body(amr::subgrid& g, std::span<const double> u0) {
     constexpr int W = lane_count<T>::value;
+    OCTO_ASSERT(u0.size() >= static_cast<std::size_t>(n_hydro_fields) * INX3);
     const T half(0.5);
     std::size_t idx = 0;
-    for (int q = 0; q < n_fields; ++q)
+    for (int q = 0; q < n_hydro_fields; ++q)
         for (int i = 0; i < INX; ++i)
             for (int j = 0; j < INX; ++j) {
                 double* cell =
@@ -495,7 +500,7 @@ void hydro_flux_divergence(amr::subgrid& g, const leaf_flux_soa& lf, double dt) 
 }
 
 template <class Exec>
-void hydro_blend(amr::subgrid& g, const aligned_vector<double>& u0) {
+void hydro_blend(amr::subgrid& g, std::span<const double> u0) {
     blend_body<typename Exec::value_type>(g, u0);
 }
 
@@ -514,7 +519,7 @@ void hydro_dual_energy(amr::subgrid& g, const ideal_gas_eos& eos) {
     template double hydro_wave_speed<E>(const amr::subgrid&, const ideal_gas_eos&); \
     template void hydro_flux_divergence<E>(amr::subgrid&, const leaf_flux_soa&,    \
                                            double);                               \
-    template void hydro_blend<E>(amr::subgrid&, const aligned_vector<double>&);    \
+    template void hydro_blend<E>(amr::subgrid&, std::span<const double>);          \
     template void hydro_dual_energy<E>(amr::subgrid&, const ideal_gas_eos&);
 OCTO_KERNEL_HYDRO(exec::scalar)
 OCTO_KERNEL_HYDRO(exec::simd_default)
@@ -559,8 +564,7 @@ void run_flux_divergence(bool vectorized, amr::subgrid& g,
              [&](auto ex) { hydro_flux_divergence<decltype(ex)>(g, lf, dt); });
 }
 
-void run_blend(bool vectorized, amr::subgrid& g,
-               const aligned_vector<double>& u0) {
+void run_blend(bool vectorized, amr::subgrid& g, std::span<const double> u0) {
     dispatch(vectorized, [&](auto ex) { hydro_blend<decltype(ex)>(g, u0); });
 }
 

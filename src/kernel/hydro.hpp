@@ -6,6 +6,8 @@
 // The scalar path (hydro::step_options::vectorized = false) is simply the
 // width-1 instantiation.
 
+#include <span>
+
 #include "amr/subgrid.hpp"
 #include "hydro/pencil.hpp"
 #include "kernel/exec.hpp"
@@ -45,9 +47,11 @@ template <class Exec>
 void hydro_flux_divergence(amr::subgrid& g, const hydro::leaf_flux_soa& lf,
                            double dt);
 
-/// Second RK stage blend: U <- (U0 + U) / 2.
+/// Second RK stage blend of the hydro fields: U <- (U0 + U) / 2, with u0
+/// the [n_hydro_fields][INX][INX][INX] interior snapshot. The radiation
+/// fields are left as they are.
 template <class Exec>
-void hydro_blend(amr::subgrid& g, const aligned_vector<double>& u0);
+void hydro_blend(amr::subgrid& g, std::span<const double> u0);
 
 /// Dual-energy bookkeeping + floors (Bryan et al. switch).
 template <class Exec>
@@ -69,8 +73,7 @@ double run_wave_speed(bool vectorized, const amr::subgrid& g,
 void run_flux_divergence(bool vectorized, amr::subgrid& g,
                          const hydro::leaf_flux_soa& lf, double dt);
 
-void run_blend(bool vectorized, amr::subgrid& g,
-               const aligned_vector<double>& u0);
+void run_blend(bool vectorized, amr::subgrid& g, std::span<const double> u0);
 
 void run_dual_energy(bool vectorized, amr::subgrid& g,
                      const phys::ideal_gas_eos& eos);

@@ -51,7 +51,7 @@ void rusanov(const rad_state& L, const rad_state& R, double c, int a,
 /// One explicit transport substep of size dt on every leaf.
 void transport_substep(tree& t, double dt, const rad_options& opt,
                        rt::thread_pool& pool) {
-    fill_all_ghosts(t, opt.bc);
+    fill_all_ghosts(t, opt.bc, &pool);
 
     // Two-pass: compute per-cell updates into scratch, then commit (the
     // stencil only needs one ghost layer, which fill_all_ghosts provides).

@@ -52,4 +52,31 @@ struct aligned_allocator {
 template <class T>
 using aligned_vector = std::vector<T, aligned_allocator<T>>;
 
+/// aligned_allocator whose argument-less construct() default-initializes,
+/// so resize() leaves new trivially constructible elements indeterminate
+/// instead of zero-filling them. For scratch every kernel overwrites in full
+/// before reading it.
+template <class T, std::size_t Align = simd_alignment>
+struct uninit_allocator : aligned_allocator<T, Align> {
+    template <class U>
+    struct rebind {
+        using other = uninit_allocator<U, Align>;
+    };
+
+    uninit_allocator() = default;
+    template <class U>
+    uninit_allocator(const uninit_allocator<U, Align>&) noexcept {}
+
+    // Constructions with arguments (copies, emplace) fall through
+    // allocator_traits to the usual placement new.
+    template <class U>
+    void construct(U* p) {
+        ::new (static_cast<void*>(p)) U;
+    }
+};
+
+/// aligned_vector whose resize() does not initialize (see uninit_allocator).
+template <class T>
+using scratch_vector = std::vector<T, uninit_allocator<T>>;
+
 } // namespace octo

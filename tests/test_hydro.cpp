@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "amr/halo.hpp"
@@ -20,7 +22,11 @@
 #include "hydro/riemann_exact.hpp"
 #include "hydro/sedov.hpp"
 #include "hydro/update.hpp"
+#include "hydro/pencil.hpp"
 #include "io/checkpoint.hpp"
+#include "runtime/thread_pool.hpp"
+#include "support/aligned.hpp"
+#include "support/buffer_recycler.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -755,6 +761,23 @@ TEST(Schedule, IndependentOfPoolSizeOnRotatingStar) {
     expect_schedules_identical(ic, opt, 3);
 }
 
+/// Momentum everywhere, spin, a passive scalar and radiation: every field
+/// the step transports (and some it must not) is nonzero.
+state sheared_flow_ic(const dvec3& r, const phys::ideal_gas_eos& eos) {
+    state u = make_state(1.0 + 0.2 * std::sin(6.0 * r.x + 2.0 * r.y),
+                         {0.3 - 0.1 * r.z, -0.2 + 0.1 * r.x, 0.1 + 0.05 * r.y},
+                         0.8 + 0.1 * r.z, eos);
+    u[f_lx] = 1e-3 * r.y;
+    u[f_lz] = -1e-3 * r.x;
+    u[first_passive] = 0.5 * u[f_rho];
+    u[f_erad] = 0.25 + r.x;
+    u[f_frx] = 0.01 * r.z;
+    return u;
+}
+
+constexpr boundary_kind all_boundaries[] = {
+    boundary_kind::outflow, boundary_kind::reflecting, boundary_kind::periodic};
+
 TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
     // The step fills only what its flux sweeps read: the six face regions
     // of the hydro fields. Poisoning every other ghost of every leaf with NaN
@@ -765,17 +788,7 @@ TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
     // run, so coarse donors, spin corrections and reflecting flips all feed
     // the face ghosts.
     phys::ideal_gas_eos eos(1.4);
-    const auto ic = [&](const dvec3& r) {
-        state u = make_state(1.0 + 0.2 * std::sin(6.0 * r.x + 2.0 * r.y),
-                             {0.3 - 0.1 * r.z, -0.2 + 0.1 * r.x, 0.1 + 0.05 * r.y},
-                             0.8 + 0.1 * r.z, eos);
-        u[f_lx] = 1e-3 * r.y;
-        u[f_lz] = -1e-3 * r.x;
-        u[first_passive] = 0.5 * u[f_rho];
-        u[f_erad] = 0.25 + r.x;
-        u[f_frx] = 0.01 * r.z;
-        return u;
-    };
+    const auto ic = [&](const dvec3& r) { return sheared_flow_ic(r, eos); };
     const auto poison = [](tree& t) {
         const double nan = std::numeric_limits<double>::quiet_NaN();
         const auto outside = [](int c) { return c < H_BW || c >= H_BW + INX; };
@@ -792,8 +805,7 @@ TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
                     }
         }
     };
-    for (const auto bc : {boundary_kind::outflow, boundary_kind::reflecting,
-                          boundary_kind::periodic}) {
+    for (const auto bc : all_boundaries) {
         SCOPED_TRACE(static_cast<int>(bc));
         tree clean(unit_root()), poisoned(unit_root());
         refine_amr(clean);
@@ -811,6 +823,102 @@ TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
         EXPECT_EQ(io::leaf_digests(poisoned), io::leaf_digests(clean));
         EXPECT_EQ(bit_differences(clean, poisoned), 0u);
     }
+}
+
+TEST(Step, ScratchNeedsNoZeroFill) {
+    // The step's scratch is never zero-filled: the leaf flux planes, the u0
+    // snapshot and each worker's sweep workspace come out of the buffer
+    // recycler as they were parked. Parking NaN-filled blocks of exactly
+    // those sizes before the steps must leave the dt and every leaf interior
+    // bit-identical to a run on whatever the recycler held before — any read
+    // of scratch a kernel did not write first would carry the NaN into the
+    // state. A fresh pool gives every worker a fresh workspace.
+    phys::ideal_gas_eos eos(1.4);
+    const auto ic = [&](const dvec3& r) { return sheared_flow_ic(r, eos); };
+    constexpr std::size_t d = sizeof(double);
+    constexpr std::size_t P = pencil_len, L = pencil_lanes;
+    for (const auto bc : all_boundaries) {
+        SCOPED_TRACE(static_cast<int>(bc));
+        tree clean(unit_root()), poisoned(unit_root());
+        refine_amr(clean);
+        refine_amr(poisoned);
+        init_state(clean, ic);
+        init_state(poisoned, ic);
+        step_options opt;
+        opt.eos = eos;
+        opt.bc = bc;
+        std::vector<double> dts;
+        for (int s = 0; s < 2; ++s) dts.push_back(step(clean, opt));
+
+        rt::thread_pool pool(4);
+        const std::size_t leaves = poisoned.leaves_sfc().size();
+        const std::size_t spare = pool.size() + 1; // the caller helps too
+        const std::pair<std::size_t, std::size_t> blocks[] = {
+            {n_hydro_fields * leaf_flux_soa::plane_size * d, 3 * leaves}, // fluxes
+            {n_hydro_fields * INX3 * d, leaves},                          // u0
+            {n_hydro_fields * P * L * d, spare},                          // ws.u
+            {n_recon_vars * P * L * d, spare},                            // ws.qv
+            {(recon_cells + 1) * L * d, spare},                           // ws.iface
+            {n_recon_vars * recon_cells * L * d, 2 * spare},              // ws.flo/fhi
+        };
+        auto& rec = buffer_recycler::instance();
+        rec.clear();
+        std::vector<std::pair<void*, std::size_t>> held;
+        for (const auto& [bytes, count] : blocks) {
+            for (std::size_t n = 0; n < count; ++n) {
+                void* p = rec.allocate(bytes, simd_alignment);
+                std::fill_n(static_cast<double*>(p), bytes / d,
+                            std::numeric_limits<double>::quiet_NaN());
+                held.emplace_back(p, bytes);
+            }
+        }
+        for (const auto& [p, bytes] : held) rec.deallocate(p, bytes, simd_alignment);
+
+        opt.pool = &pool;
+        for (int s = 0; s < 2; ++s) {
+            EXPECT_EQ(step(poisoned, opt), dts[static_cast<std::size_t>(s)]);
+        }
+        EXPECT_EQ(io::leaf_digests(poisoned), io::leaf_digests(clean));
+        EXPECT_EQ(bit_differences(clean, poisoned), 0u);
+    }
+}
+
+TEST(Step, LeavesRadiationFieldsUntouched) {
+    // The hydro step owns the n_hydro_fields hydro fields only. Radiation
+    // interiors — including a value the old (x + x) / 2 blend overflowed
+    // and a subnormal — come out of two steps bitwise unchanged.
+    phys::ideal_gas_eos eos(1.4);
+    tree t(unit_root());
+    refine_amr(t);
+    init_state(t, [&](const dvec3& r) { return sheared_flow_ic(r, eos); });
+    const double big = 0.75 * std::numeric_limits<double>::max();
+    const double tiny = std::numeric_limits<double>::denorm_min() * 3;
+    auto& first = *t.node(t.leaves_sfc().front()).fields;
+    first.interior(f_erad, 1, 2, 3) = big;
+    first.interior(f_frz, 4, 0, 7) = tiny;
+    first.interior(f_fry, 0, 0, 0) = -big;
+    ASSERT_GT(big, std::numeric_limits<double>::max() / 2);
+    ASSERT_EQ(std::fpclassify(tiny), FP_SUBNORMAL);
+
+    const auto rad_bits = [](const tree& tr) {
+        std::vector<std::uint64_t> bits;
+        for (const auto k : tr.leaves_sfc()) {
+            const auto& g = *tr.node(k).fields;
+            for (int q = n_hydro_fields; q < n_fields; ++q)
+                for (int i = 0; i < INX; ++i)
+                    for (int j = 0; j < INX; ++j)
+                        for (int kk = 0; kk < INX; ++kk) {
+                            bits.push_back(std::bit_cast<std::uint64_t>(
+                                g.interior(q, i, j, kk)));
+                        }
+        }
+        return bits;
+    };
+    const auto before = rad_bits(t);
+    step_options opt;
+    opt.eos = eos;
+    for (int s = 0; s < 2; ++s) (void)step(t, opt);
+    EXPECT_EQ(rad_bits(t), before);
 }
 
 TEST(Ablations, LedgerClosesOnDefaultSimdPath) {

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,7 @@ using namespace octo::fmm;
 
 constexpr double rel_tol = 1e-14;
 
-void expect_close(const aligned_vector<double>& a, const aligned_vector<double>& b,
+void expect_close(std::span<const double> a, std::span<const double> b,
                   const char* what) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -46,7 +47,7 @@ void expect_close(const aligned_vector<double>& a, const aligned_vector<double>&
     }
 }
 
-void expect_equal(const aligned_vector<double>& a, const aligned_vector<double>& b,
+void expect_equal(std::span<const double> a, std::span<const double> b,
                   const char* what) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -184,7 +185,7 @@ struct flux_run {
 
 flux_run run_fluxes(bool vectorized) {
     flux_run r;
-    r.lf.reset();
+    r.lf.allocate();
     pencil_workspace ws;
     const phys::ideal_gas_eos eos;
     for (int axis = 0; axis < 3; ++axis) {
@@ -400,7 +401,7 @@ flux_run kt_sweep(const state& left, const state& right, int split, int axis,
                 for (int q = 0; q < n_fields; ++q) g.at(q, i, j, k) = u[q];
             }
     flux_run r;
-    r.lf.reset();
+    r.lf.allocate();
     pencil_workspace ws;
     octo::kernel::run_leaf_fluxes(false, g, axis, eos, /*use_ppm=*/false, ws, r.lf,
                                   &r.max_speed);
@@ -414,7 +415,7 @@ TEST(KtFlux, ConsistencyWithPhysicalFlux) {
     for (int a = 0; a < 3; ++a) {
         const auto r = kt_sweep(u, u, 0, a, eos);
         const state fp = physical_flux(u, a, eos);
-        for (int q = 0; q < n_fields; ++q)
+        for (int q = 0; q < amr::n_hydro_fields; ++q)
             for (int p = 0; p < n_faces; ++p)
                 for (int b = 0; b < amr::INX; ++b)
                     for (int c = 0; c < amr::INX; ++c) {
@@ -435,7 +436,7 @@ TEST(KtFlux, UpwindsSupersonicFlow) {
     const auto r = kt_sweep(uL, uR, split, 0, eos);
     const state fL = physical_flux(uL, 0, eos);
     const state fR = physical_flux(uR, 0, eos);
-    for (int q = 0; q < n_fields; ++q)
+    for (int q = 0; q < amr::n_hydro_fields; ++q)
         for (int p = 0; p < n_faces; ++p) {
             // Face p lies between interior cells p-1 and p.
             const double want = p - 1 < split ? fL[q] : fR[q];
