@@ -50,7 +50,7 @@ void bench_stencil_soa_vectorized(benchmark::State& state) {
     kernel_options opt;
     opt.stencil = &interaction_stencil();
     for (auto _ : state) {
-        kernel::fmm_monopole<kernel::exec::simd_default>(mom, buf, opt, out);
+        kernel::run_fmm_monopole(true, mom, buf, opt, out);
         benchmark::DoNotOptimize(out.L[0][0]);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -65,7 +65,7 @@ void bench_stencil_soa_scalar(benchmark::State& state) {
     kernel_options opt;
     opt.stencil = &interaction_stencil();
     for (auto _ : state) {
-        kernel::fmm_monopole<kernel::exec::scalar>(mom, buf, opt, out);
+        kernel::run_fmm_monopole(false, mom, buf, opt, out);
         benchmark::DoNotOptimize(out.L[0][0]);
     }
     state.SetItemsProcessed(state.iterations() *

@@ -6,7 +6,7 @@
 
 #include "amr/prolong.hpp"
 #include "runtime/apex.hpp"
-#include "runtime/future.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/assert.hpp"
 
 namespace octo::amr {
@@ -231,23 +231,6 @@ void allocate_refined_storage(tree& t) {
     }
 }
 
-/// Run body(lo, hi) over [0, count) split into up to 4 contiguous chunks
-/// per worker, as tasks on `pool`, and wait (helping) for all of them. The
-/// bodies must write disjoint data; the result then does not depend on the
-/// pool.
-template <class Body>
-void for_chunks(rt::thread_pool& pool, std::size_t count, const Body& body) {
-    const std::size_t chunks = std::min<std::size_t>(count, std::size_t{4} * pool.size());
-    std::vector<rt::future<void>> fs;
-    fs.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = count * c / chunks;
-        const std::size_t hi = count * (c + 1) / chunks;
-        fs.push_back(rt::async(pool, [&body, lo, hi] { body(lo, hi); }));
-    }
-    for (auto& f : fs) f.get(); // helps run the tasks while it waits
-}
-
 /// Rebuild the plan for every node with field data, coarse to fine. The
 /// slots are laid out serially; the per-cell resolution of the nodes runs as
 /// tasks on `pool`, each writing only its own slots, so the plan does not
@@ -266,7 +249,7 @@ void rebuild_plan(ghost_plan& plan, tree& t, boundary_kind bc,
             np.leaf = !n.refined;
         }
     }
-    for_chunks(pool, plan.nodes.size(), [&plan, &t, bc](std::size_t lo, std::size_t hi) {
+    rt::for_chunks(pool, plan.nodes.size(), [&plan, &t, bc](std::size_t lo, std::size_t hi) {
         node_ghost_plan scratch;
         for (std::size_t n = lo; n < hi; ++n) {
             resolve_node(t, bc, scratch, plan.nodes[n]);
@@ -349,7 +332,7 @@ void restrict_tree(tree& t, rt::thread_pool* pool) {
         for (const node_key k : t.levels()[level]) {
             if (t.node(k).refined) refined.push_back(k);
         }
-        for_chunks(p, refined.size(), [&t, &refined](std::size_t lo, std::size_t hi) {
+        rt::for_chunks(p, refined.size(), [&t, &refined](std::size_t lo, std::size_t hi) {
             for (std::size_t n = lo; n < hi; ++n) restrict_node(t, refined[n]);
         });
     }
@@ -383,7 +366,7 @@ void fill_all_ghosts(tree& t, boundary_kind bc, rt::thread_pool* pool) {
 
     // Replay: each node writes only its own ghost shell and reads only
     // donor interiors, which nothing writes any more.
-    for_chunks(p, plan.nodes.size(), [&plan](std::size_t lo, std::size_t hi) {
+    rt::for_chunks(p, plan.nodes.size(), [&plan](std::size_t lo, std::size_t hi) {
         for (std::size_t n = lo; n < hi; ++n) {
             const node_ghost_plan& np = plan.nodes[n];
             for (const auto& r : np.regions) apply_ghost_region(*np.g, r, n_fields);

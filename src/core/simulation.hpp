@@ -55,7 +55,7 @@ struct sim_options {
     /// Both ignored: not forwarded to the gravity solver, whose private
     /// executor always runs at gpu::aggregator_options{}. stepbench still
     /// sets them; they go away when stepbench moves to a single execution
-    /// context (ROADMAP item 5).
+    /// context (ROADMAP item 4(b)).
     bool autotune = false;
     std::string machine = "host";
     lb_options lb{};               ///< dynamic load balancing (off by default)

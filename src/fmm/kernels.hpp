@@ -69,8 +69,8 @@ struct kernel_options {
     const std::vector<stencil_element>* stencil = nullptr;
 };
 
-// The kernel bodies themselves live in src/kernel/fmm.{hpp,cpp} (ISSUE 7):
-// one templated body per kernel, instantiated per execution-space policy.
+// The kernel bodies themselves live in src/kernel/fmm.{hpp,cpp}: one body
+// per kernel, templated on its value type.
 // This header keeps the shared option/metadata types and the paper-style
 // flop accounting.
 

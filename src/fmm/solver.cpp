@@ -87,7 +87,7 @@ void solver::m2m(tree& t, node_key k) {
         sanitize::region_read(&cm, "fmm.moments");
         children[c] = &cm;
     }
-    kernel::fmm_m2m<kernel::exec::scalar>(children, geom, mom, invm);
+    kernel::fmm_m2m(children, geom, mom, invm);
 }
 
 void solver::fill_buffer_region(node_key nb, const ivec3& off,
@@ -325,8 +325,7 @@ void solver::l2l(node_key k) {
         sanitize::region_read(childM[c], "fmm.moments");
     }
 
-    kernel::fmm_l2l<kernel::exec::scalar>(parentL, pm, childM, childLw,
-                                          opt_.conserve);
+    kernel::fmm_l2l(parentL, pm, childM, childLw, opt_.conserve);
 }
 
 

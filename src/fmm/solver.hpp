@@ -39,7 +39,7 @@ struct solver_options {
     gpu::aggregator* aggregator = nullptr;
     /// Both ignored: the private executor always runs at
     /// gpu::aggregator_options{}. stepbench still sets them; they go away
-    /// when stepbench moves to a single execution context (ROADMAP item 5).
+    /// when stepbench moves to a single execution context (ROADMAP item 4(b)).
     bool autotune = false;
     std::string machine = "host";
 };

@@ -86,8 +86,8 @@ struct pencil_workspace {
     scratch_vector<double> fhi;   ///< [n_recon_vars][recon_cells][lanes]
 };
 
-// The flux-sweep kernels over this layout live in src/kernel/hydro.{hpp,cpp}
-// (ISSUE 7): one templated body per kernel, instantiated per execution-space
-// policy — the scalar path is the width-1 instantiation of the same source.
+// The flux-sweep kernels over this layout live in src/kernel/hydro.{hpp,cpp}:
+// one body per kernel, templated on its value type — the scalar path is the
+// width-1 instantiation of the same source.
 
 } // namespace octo::hydro

@@ -300,17 +300,15 @@ double cfl_timestep(const tree& t, const step_options& opt) {
     const std::vector<node_key> leaves = t.leaves_sfc();
     std::vector<double> dxs(leaves.size());
     std::vector<double> speeds(leaves.size());
-    std::vector<rt::future<void>> fs;
-    fs.reserve(leaves.size());
-    for (std::size_t idx = 0; idx < leaves.size(); ++idx) {
-        const subgrid& g = *t.node(leaves[idx]).fields;
-        dxs[idx] = g.geom.dx;
-        fs.push_back(rt::async(pool, [&g, &opt, &speeds, idx] {
-            speeds[idx] = kernel::run_wave_speed(opt.vectorized, g, opt.eos);
-        }));
-    }
-    rt::apex_count("hydro.cfl_tasks", leaves.size());
-    for (auto& f : fs) f.get();
+    const std::size_t tasks =
+        rt::for_chunks(pool, leaves.size(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t n = lo; n < hi; ++n) {
+                const subgrid& g = *t.node(leaves[n]).fields;
+                dxs[n] = g.geom.dx;
+                speeds[n] = kernel::run_wave_speed(opt.vectorized, g, opt.eos);
+            }
+        });
+    rt::apex_count("hydro.cfl_tasks", tasks);
     return cfl_dt(opt.cfl, dxs, speeds);
 }
 

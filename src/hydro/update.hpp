@@ -52,7 +52,7 @@ struct step_options {
     /// Both ignored: the hydro kernels have no tuned geometry and the
     /// offload executor no tuned batch. Kept only because stepbench sets
     /// them; they go away when stepbench moves to a single execution
-    /// context (ROADMAP item 5).
+    /// context (ROADMAP item 4(b)).
     bool autotune = false;
     std::string machine = "host";
     double fixed_dt = 0.0;      ///< >0: skip the CFL computation

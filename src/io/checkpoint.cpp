@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "runtime/apex.hpp"
-#include "runtime/future.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -111,20 +111,11 @@ std::vector<std::uint32_t> digest_leaves(const tree& t,
                                          rt::thread_pool* pool) {
     rt::thread_pool& p = pool != nullptr ? *pool : rt::thread_pool::global();
     std::vector<std::uint32_t> digests(leaves.size());
-    const std::size_t chunks =
-        std::min<std::size_t>(leaves.size(), std::size_t{4} * p.size());
-    std::vector<rt::future<void>> fs;
-    fs.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = leaves.size() * c / chunks;
-        const std::size_t hi = leaves.size() * (c + 1) / chunks;
-        fs.push_back(rt::async(p, [&t, &leaves, &digests, lo, hi] {
-            for (std::size_t n = lo; n < hi; ++n) {
-                digests[n] = leaf_image_crc(*t.node(leaves[n]).fields);
-            }
-        }));
-    }
-    for (auto& f : fs) f.get();
+    rt::for_chunks(p, leaves.size(), [&t, &leaves, &digests](std::size_t lo, std::size_t hi) {
+        for (std::size_t n = lo; n < hi; ++n) {
+            digests[n] = leaf_image_crc(*t.node(leaves[n]).fields);
+        }
+    });
     return digests;
 }
 

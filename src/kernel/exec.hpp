@@ -1,47 +1,27 @@
 #pragma once
-// Portable kernel layer: execution-space policies (ISSUE 7, following
-// "From Merging Frameworks to Merging Stars", arXiv:2210.06439).
+// Portable kernel layer, following "From Merging Frameworks to Merging
+// Stars" (arXiv:2210.06439).
 //
 // Every hot kernel in src/kernel is written ONCE as a body templated on a
-// value type T (double or simd::pack<double, W>) and wrapped in a thin
-// policy template:
+// value type T and reached through one `run_*(bool vectorized, ...)` entry:
 //
-//   exec::scalar   — T = double, one lane: the width-1 reference.
-//   exec::simd<W>  — T = simd::pack<double, W>, W lanes per op.
+//   vectorized = false   T = double, one lane: the width-1 reference.
+//   vectorized = true    T = simd::pack<double, default_width>, the
+//                        build's pack width.
 //
-// Each kernel is compiled at exactly two geometries: exec::scalar
-// (`vectorized = false`) and exec::simd<simd::default_width>
-// (`vectorized = true`), fixed per build like the SIMD type of a Kokkos
-// build target. No runtime setting picks another width, so a run's bits
-// depend only on the build and `vectorized`.
+// Both are fixed per build, like the SIMD type of a Kokkos build target.
+// No runtime setting picks another width, so a run's bits depend only on
+// the build and `vectorized`.
 //
-// The simulated device has no policy of its own: an offloaded kernel runs
-// the caller's geometry, so the device and the CPU call one compiled
-// function and their results are bit-identical by construction.
+// The simulated device has no value type of its own: an offloaded kernel
+// runs the caller's, so the device and the CPU call one compiled function
+// and their results are bit-identical by construction.
 
 #include <cstddef>
 
 #include "simd/pack.hpp"
 
 namespace octo::kernel {
-
-namespace exec {
-
-struct scalar {
-    using value_type = double;
-    static constexpr int width = 1;
-};
-
-template <int W>
-struct simd {
-    using value_type = octo::simd::pack<double, static_cast<std::size_t>(W)>;
-    static constexpr int width = W;
-};
-
-/// The pack policy of this build.
-using simd_default = simd<static_cast<int>(octo::simd::default_width)>;
-
-} // namespace exec
 
 // ---- value-type traits shared by the kernel bodies ------------------------
 
@@ -104,13 +84,14 @@ inline double lane(const T& v, int l) {
     }
 }
 
-/// Invoke `f` with exec::simd_default when `vectorized`, else exec::scalar.
+/// Invoke `f` with a value of the build's pack type when `vectorized`,
+/// else with a double; the kernel bodies take `decltype(v)` as T.
 template <class F>
 void dispatch(bool vectorized, F&& f) {
     if (vectorized) {
-        f(exec::simd_default{});
+        f(simd::pack<double, simd::default_width>{});
     } else {
-        f(exec::scalar{});
+        f(0.0);
     }
 }
 

@@ -1,11 +1,3 @@
-// Portable FMM kernel bodies (ISSUE 7). Each kernel below is the ONE source
-// of truth: the former hand-written scalar / SIMD variants in
-// src/fmm/kernels.cpp and the solver's inline M2M / L2L loops were moved
-// here verbatim and deleted there. The value type T is double
-// (exec::scalar) or simd::pack<double, W> (exec::simd<W>). The simulated
-// GPU runs the solver's own geometry, so it executes literally the same
-// compiled function as the CPU path (bit-identity by construction).
-
 #include "kernel/fmm.hpp"
 
 #include <algorithm>
@@ -309,10 +301,40 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
     }
 }
 
+/// Solve the 3x3 system K w = b (K symmetric) with light Tikhonov
+/// regularization for near-singular K (collinear mass distributions).
+dvec3 solve3x3_sym(double K[3][3], const dvec3& b) {
+    const double tr = K[0][0] + K[1][1] + K[2][2];
+    if (tr <= 0.0) return {0, 0, 0};
+    const double eps = 1e-12 * tr;
+    double A[3][4] = {{K[0][0] + eps, K[0][1], K[0][2], b.x},
+                      {K[1][0], K[1][1] + eps, K[1][2], b.y},
+                      {K[2][0], K[2][1], K[2][2] + eps, b.z}};
+    // Gaussian elimination with partial pivoting.
+    for (int col = 0; col < 3; ++col) {
+        int piv = col;
+        for (int r = col + 1; r < 3; ++r) {
+            if (std::abs(A[r][col]) > std::abs(A[piv][col])) piv = r;
+        }
+        if (std::abs(A[piv][col]) < 1e-300) return {0, 0, 0};
+        if (piv != col) {
+            for (int cc = 0; cc < 4; ++cc) std::swap(A[piv][cc], A[col][cc]);
+        }
+        for (int r = 0; r < 3; ++r) {
+            if (r == col) continue;
+            const double f = A[r][col] / A[col][col];
+            for (int cc = col; cc < 4; ++cc) A[r][cc] -= f * A[col][cc];
+        }
+    }
+    return {A[0][3] / A[0][0], A[1][3] / A[1][1], A[2][3] / A[2][2]};
+}
+
+} // namespace
+
 /// M2M: per child octant, reduce each 2x2x2 block of child cells into the
 /// parent cell (mass, mass-weighted COM, parallel-axis second moments).
-void m2m_body(const node_moments* const children[8], const amr::box_geometry& geom,
-              node_moments& mom, aligned_vector<double>& invm) {
+void fmm_m2m(const node_moments* const children[8], const amr::box_geometry& geom,
+             node_moments& mom, aligned_vector<double>& invm) {
     for (int c = 0; c < 8; ++c) {
         const auto& cm = *children[c];
         const int ox = ((c >> 0) & 1) * (INX / 2);
@@ -364,39 +386,11 @@ void m2m_body(const node_moments* const children[8], const amr::box_geometry& ge
     }
 }
 
-/// Solve the 3x3 system K w = b (K symmetric) with light Tikhonov
-/// regularization for near-singular K (collinear mass distributions).
-dvec3 solve3x3_sym(double K[3][3], const dvec3& b) {
-    const double tr = K[0][0] + K[1][1] + K[2][2];
-    if (tr <= 0.0) return {0, 0, 0};
-    const double eps = 1e-12 * tr;
-    double A[3][4] = {{K[0][0] + eps, K[0][1], K[0][2], b.x},
-                      {K[1][0], K[1][1] + eps, K[1][2], b.y},
-                      {K[2][0], K[2][1], K[2][2] + eps, b.z}};
-    // Gaussian elimination with partial pivoting.
-    for (int col = 0; col < 3; ++col) {
-        int piv = col;
-        for (int r = col + 1; r < 3; ++r) {
-            if (std::abs(A[r][col]) > std::abs(A[piv][col])) piv = r;
-        }
-        if (std::abs(A[piv][col]) < 1e-300) return {0, 0, 0};
-        if (piv != col) {
-            for (int cc = 0; cc < 4; ++cc) std::swap(A[piv][cc], A[col][cc]);
-        }
-        for (int r = 0; r < 3; ++r) {
-            if (r == col) continue;
-            const double f = A[r][col] / A[col][col];
-            for (int cc = col; cc < 4; ++cc) A[r][cc] -= f * A[col][cc];
-        }
-    }
-    return {A[0][3] / A[0][0], A[1][3] / A[1][1], A[2][3] / A[2][2]};
-}
-
 /// L2L: per PARENT cell, translate the expansion to its 8 child cells, with
 /// the angular-momentum conservation modes of fmm::am_mode.
-void l2l_body(const node_gravity& parentL, const node_moments& pm,
-              const node_moments* const childM[8], node_gravity* const childLw[8],
-              am_mode conserve) {
+void fmm_l2l(const node_gravity& parentL, const node_moments& pm,
+             const node_moments* const childM[8], node_gravity* const childLw[8],
+             am_mode conserve) {
     using fmm::evaluate;
     using fmm::evaluate_gradient;
     for (int pi = 0; pi < INX; ++pi)
@@ -538,67 +532,11 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
             }
 }
 
-} // namespace
-
-// ---- policy wrappers -------------------------------------------------------
-
-template <class Exec>
-void fmm_monopole(const node_moments& self, const partner_buffer& partners,
-                  const kernel_options& opt, node_gravity& out) {
-    monopole_body<typename Exec::value_type>(self, partners, opt, out);
-}
-
-template <class Exec>
-void fmm_multipole(const node_moments& self, const aligned_vector<double>& self_invm,
-                   const partner_buffer& partners, const kernel_options& opt,
-                   node_gravity& out) {
-    multipole_body<typename Exec::value_type>(self, self_invm, partners, opt, out);
-}
-
-template <class Exec>
-void fmm_m2m(const node_moments* const children[8], const amr::box_geometry& geom,
-             node_moments& mom, aligned_vector<double>& invm) {
-    static_assert(Exec::width == 1,
-                  "M2M is octant-strided-gather bound: scalar policy only");
-    m2m_body(children, geom, mom, invm);
-}
-
-template <class Exec>
-void fmm_l2l(const node_gravity& parentL, const node_moments& pm,
-             const node_moments* const childM[8], node_gravity* const childLw[8],
-             am_mode conserve) {
-    static_assert(Exec::width == 1,
-                  "L2L is octant-strided-gather bound: scalar policy only");
-    l2l_body(parentL, pm, childM, childLw, conserve);
-}
-
-// Explicit instantiations: the two policies dispatch() can produce.
-#define OCTO_KERNEL_FMM_SL(E)                                                      \
-    template void fmm_monopole<E>(const node_moments&, const partner_buffer&,      \
-                                  const kernel_options&, node_gravity&);           \
-    template void fmm_multipole<E>(const node_moments&, const aligned_vector<double>&, \
-                                   const partner_buffer&, const kernel_options&,   \
-                                   node_gravity&);
-OCTO_KERNEL_FMM_SL(exec::scalar)
-OCTO_KERNEL_FMM_SL(exec::simd_default)
-#undef OCTO_KERNEL_FMM_SL
-
-#define OCTO_KERNEL_FMM_TREE(E)                                                    \
-    template void fmm_m2m<E>(const node_moments* const[8], const amr::box_geometry&, \
-                             node_moments&, aligned_vector<double>&);              \
-    template void fmm_l2l<E>(const node_gravity&, const node_moments&,             \
-                             const node_moments* const[8], node_gravity* const[8], \
-                             am_mode);
-OCTO_KERNEL_FMM_TREE(exec::scalar)
-#undef OCTO_KERNEL_FMM_TREE
-
-// ---- runtime dispatch ------------------------------------------------------
-
 void run_fmm_monopole(bool vectorized, const node_moments& self,
                       const partner_buffer& partners, const kernel_options& opt,
                       node_gravity& out) {
-    dispatch(vectorized, [&](auto ex) {
-        fmm_monopole<decltype(ex)>(self, partners, opt, out);
+    dispatch(vectorized, [&](auto v) {
+        monopole_body<decltype(v)>(self, partners, opt, out);
     });
 }
 
@@ -606,8 +544,8 @@ void run_fmm_multipole(bool vectorized, const node_moments& self,
                        const aligned_vector<double>& self_invm,
                        const partner_buffer& partners, const kernel_options& opt,
                        node_gravity& out) {
-    dispatch(vectorized, [&](auto ex) {
-        fmm_multipole<decltype(ex)>(self, self_invm, partners, opt, out);
+    dispatch(vectorized, [&](auto v) {
+        multipole_body<decltype(v)>(self, self_invm, partners, opt, out);
     });
 }
 

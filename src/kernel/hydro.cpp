@@ -1,9 +1,3 @@
-// Portable hydro kernel bodies. Each kernel is the ONE source of truth: one
-// T-templated body per kernel, with T = double (exec::scalar, the scalar
-// reference) or simd::pack<double, W> (exec::simd<W>). Offloaded flux sweeps
-// run the step's own geometry, so they execute the same compiled function as
-// the CPU path.
-
 #include "kernel/hydro.hpp"
 
 #include <algorithm>
@@ -437,8 +431,10 @@ void dual_energy_body(amr::subgrid& g, const ideal_gas_eos& eos) {
         }
 }
 
-} // namespace
-
+/// Transpose the sub-grid into the axis-ordered pencil bundle:
+/// u[(q*P + p)*L + (b*INX + c)] with p the (ghost-inclusive) cell index
+/// along `axis` and (b, c) the transverse interior cell in axis order.
+/// Pure data movement, the same at every width.
 void hydro_gather(const amr::subgrid& g, int axis, double* u) {
     for (int q = 0; q < n_hydro_fields; ++q) {
         const double* src = g.field_data(q);
@@ -470,62 +466,7 @@ void hydro_gather(const amr::subgrid& g, int axis, double* u) {
     }
 }
 
-// ---- policy wrappers -------------------------------------------------------
-
-template <class Exec>
-void hydro_primitives(const double* u, const ideal_gas_eos& eos, double* qv) {
-    primitives_body<typename Exec::value_type>(u, eos, qv);
-}
-
-template <class Exec>
-void hydro_reconstruct(const double* q, bool use_ppm, double* iface, double* flo,
-                       double* fhi) {
-    reconstruct_body<typename Exec::value_type>(q, use_ppm, iface, flo, fhi);
-}
-
-template <class Exec>
-void hydro_flux(const double* flo, const double* fhi, int axis,
-                const ideal_gas_eos& eos, leaf_flux_soa& out, double* max_speed) {
-    flux_body<typename Exec::value_type>(flo, fhi, axis, eos, out, max_speed);
-}
-
-template <class Exec>
-double hydro_wave_speed(const amr::subgrid& g, const ideal_gas_eos& eos) {
-    return wave_speed_body<typename Exec::value_type>(g, eos);
-}
-
-template <class Exec>
-void hydro_flux_divergence(amr::subgrid& g, const leaf_flux_soa& lf, double dt) {
-    flux_divergence_body<typename Exec::value_type>(g, lf, dt);
-}
-
-template <class Exec>
-void hydro_blend(amr::subgrid& g, std::span<const double> u0) {
-    blend_body<typename Exec::value_type>(g, u0);
-}
-
-template <class Exec>
-void hydro_dual_energy(amr::subgrid& g, const ideal_gas_eos& eos) {
-    dual_energy_body<typename Exec::value_type>(g, eos);
-}
-
-// Explicit instantiations: the two policies dispatch() can produce.
-#define OCTO_KERNEL_HYDRO(E)                                                       \
-    template void hydro_primitives<E>(const double*, const ideal_gas_eos&, double*); \
-    template void hydro_reconstruct<E>(const double*, bool, double*, double*,      \
-                                       double*);                                   \
-    template void hydro_flux<E>(const double*, const double*, int,                 \
-                                const ideal_gas_eos&, leaf_flux_soa&, double*);    \
-    template double hydro_wave_speed<E>(const amr::subgrid&, const ideal_gas_eos&); \
-    template void hydro_flux_divergence<E>(amr::subgrid&, const leaf_flux_soa&,    \
-                                           double);                               \
-    template void hydro_blend<E>(amr::subgrid&, std::span<const double>);          \
-    template void hydro_dual_energy<E>(amr::subgrid&, const ideal_gas_eos&);
-OCTO_KERNEL_HYDRO(exec::scalar)
-OCTO_KERNEL_HYDRO(exec::simd_default)
-#undef OCTO_KERNEL_HYDRO
-
-// ---- runtime dispatch ------------------------------------------------------
+} // namespace
 
 void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
                      const ideal_gas_eos& eos, bool use_ppm,
@@ -538,39 +479,46 @@ void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
     ws.fhi.resize(static_cast<std::size_t>(NV) * C * L);
 
     hydro_gather(g, axis, ws.u.data());
-    dispatch(vectorized, [&](auto ex) {
-        using Exec = decltype(ex);
-        hydro_primitives<Exec>(ws.u.data(), eos, ws.qv.data());
-        for (int v = 0; v < NV; ++v) {
-            hydro_reconstruct<Exec>(
-                ws.qv.data() + static_cast<std::size_t>(v) * P * L, use_ppm,
-                ws.iface.data(), ws.flo.data() + static_cast<std::size_t>(v) * C * L,
-                ws.fhi.data() + static_cast<std::size_t>(v) * C * L);
+    dispatch(vectorized, [&](auto v) {
+        using T = decltype(v);
+        primitives_body<T>(ws.u.data(), eos, ws.qv.data());
+        for (int r = 0; r < NV; ++r) {
+            reconstruct_body<T>(
+                ws.qv.data() + static_cast<std::size_t>(r) * P * L, use_ppm,
+                ws.iface.data(), ws.flo.data() + static_cast<std::size_t>(r) * C * L,
+                ws.fhi.data() + static_cast<std::size_t>(r) * C * L);
         }
-        hydro_flux<Exec>(ws.flo.data(), ws.fhi.data(), axis, eos, out, max_speed);
+        flux_body<T>(ws.flo.data(), ws.fhi.data(), axis, eos, out, max_speed);
+    });
+}
+
+void run_reconstruct(bool vectorized, const double* q, bool use_ppm,
+                     double* iface, double* flo, double* fhi) {
+    dispatch(vectorized, [&](auto v) {
+        reconstruct_body<decltype(v)>(q, use_ppm, iface, flo, fhi);
     });
 }
 
 double run_wave_speed(bool vectorized, const amr::subgrid& g,
                       const ideal_gas_eos& eos) {
     double ms = 0.0;
-    dispatch(vectorized, [&](auto ex) { ms = hydro_wave_speed<decltype(ex)>(g, eos); });
+    dispatch(vectorized, [&](auto v) { ms = wave_speed_body<decltype(v)>(g, eos); });
     return ms;
 }
 
 void run_flux_divergence(bool vectorized, amr::subgrid& g,
                          const leaf_flux_soa& lf, double dt) {
     dispatch(vectorized,
-             [&](auto ex) { hydro_flux_divergence<decltype(ex)>(g, lf, dt); });
+             [&](auto v) { flux_divergence_body<decltype(v)>(g, lf, dt); });
 }
 
 void run_blend(bool vectorized, amr::subgrid& g, std::span<const double> u0) {
-    dispatch(vectorized, [&](auto ex) { hydro_blend<decltype(ex)>(g, u0); });
+    dispatch(vectorized, [&](auto v) { blend_body<decltype(v)>(g, u0); });
 }
 
 void run_dual_energy(bool vectorized, amr::subgrid& g,
                      const ideal_gas_eos& eos) {
-    dispatch(vectorized, [&](auto ex) { hydro_dual_energy<decltype(ex)>(g, eos); });
+    dispatch(vectorized, [&](auto v) { dual_energy_body<decltype(v)>(g, eos); });
 }
 
 } // namespace octo::kernel

@@ -1,12 +1,12 @@
 #include "rad/rad.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "rad/m1.hpp"
-#include "runtime/future.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/assert.hpp"
 
 namespace octo::rad {
@@ -48,83 +48,70 @@ void rusanov(const rad_state& L, const rad_state& R, double c, int a,
     }
 }
 
+/// The transport update of one leaf: every cell's flux difference goes into
+/// a local buffer first, then is committed. The stencil reads only the
+/// leaf's own interior and the ghost layer fill_all_ghosts copied into it,
+/// so leaves can update in any order.
+void transport_leaf(subgrid& g, double dt, const rad_options& opt) {
+    std::array<double, 4 * INX3> du;
+    const double lam = dt / g.geom.dx;
+    for (int i = 0; i < INX; ++i)
+        for (int j = 0; j < INX; ++j)
+            for (int kk = 0; kk < INX; ++kk) {
+                const int I = i + H_BW, J = j + H_BW, K = kk + H_BW;
+                const rad_state c = load_rad(g, I, J, K);
+                double acc[4] = {0, 0, 0, 0};
+                for (int a = 0; a < 3; ++a) {
+                    const int di = a == 0, dj = a == 1, dk = a == 2;
+                    const rad_state m = load_rad(g, I - di, J - dj, K - dk);
+                    const rad_state p = load_rad(g, I + di, J + dj, K + dk);
+                    double flo[4], fhi[4];
+                    rusanov(m, c, opt.c_hat, a, flo);
+                    rusanov(c, p, opt.c_hat, a, fhi);
+                    for (int q = 0; q < 4; ++q) {
+                        acc[q] -= lam * (fhi[q] - flo[q]);
+                    }
+                }
+                const int idx = 4 * ((i * INX + j) * INX + kk);
+                for (int q = 0; q < 4; ++q) du[idx + q] = acc[q];
+            }
+    for (int i = 0; i < INX; ++i)
+        for (int j = 0; j < INX; ++j)
+            for (int kk = 0; kk < INX; ++kk) {
+                const int idx = 4 * ((i * INX + j) * INX + kk);
+                double E = g.interior(f_erad, i, j, kk) + du[idx + 0];
+                dvec3 F{g.interior(f_frx, i, j, kk) + du[idx + 1],
+                        g.interior(f_fry, i, j, kk) + du[idx + 2],
+                        g.interior(f_frz, i, j, kk) + du[idx + 3]};
+                E = std::max(E, 0.0);
+                F = limit_flux(E, F, opt.c_hat);
+                g.interior(f_erad, i, j, kk) = E;
+                g.interior(f_frx, i, j, kk) = F.x;
+                g.interior(f_fry, i, j, kk) = F.y;
+                g.interior(f_frz, i, j, kk) = F.z;
+            }
+}
+
 /// One explicit transport substep of size dt on every leaf.
 void transport_substep(tree& t, double dt, const rad_options& opt,
                        rt::thread_pool& pool) {
     fill_all_ghosts(t, opt.bc, &pool);
-
-    // Two-pass: compute per-cell updates into scratch, then commit (the
-    // stencil only needs one ghost layer, which fill_all_ghosts provides).
-    std::vector<node_key> leaves = t.leaves_sfc();
-    std::unordered_map<node_key, std::vector<double>> updates;
-    for (const node_key k : leaves) {
-        updates.emplace(k, std::vector<double>(4 * INX3, 0.0));
-    }
-
-    std::vector<rt::future<void>> fs;
-    fs.reserve(leaves.size());
-    for (const node_key k : leaves) {
-        fs.push_back(rt::async(pool, [&t, &opt, &updates, k, dt] {
-            const subgrid& g = *t.node(k).fields;
-            auto& du = updates.at(k);
-            const double lam = dt / g.geom.dx;
-            for (int i = 0; i < INX; ++i)
-                for (int j = 0; j < INX; ++j)
-                    for (int kk = 0; kk < INX; ++kk) {
-                        const int I = i + H_BW, J = j + H_BW, K = kk + H_BW;
-                        const rad_state c = load_rad(g, I, J, K);
-                        double acc[4] = {0, 0, 0, 0};
-                        for (int a = 0; a < 3; ++a) {
-                            const int di = a == 0, dj = a == 1, dk = a == 2;
-                            const rad_state m =
-                                load_rad(g, I - di, J - dj, K - dk);
-                            const rad_state p =
-                                load_rad(g, I + di, J + dj, K + dk);
-                            double flo[4], fhi[4];
-                            rusanov(m, c, opt.c_hat, a, flo);
-                            rusanov(c, p, opt.c_hat, a, fhi);
-                            for (int q = 0; q < 4; ++q) {
-                                acc[q] -= lam * (fhi[q] - flo[q]);
-                            }
-                        }
-                        const int idx = 4 * ((i * INX + j) * INX + kk);
-                        for (int q = 0; q < 4; ++q) du[idx + q] = acc[q];
-                    }
-        }));
-    }
-    for (auto& f : fs) f.get();
-
-    for (const node_key k : leaves) {
-        subgrid& g = *t.node(k).fields;
-        const auto& du = updates.at(k);
-        for (int i = 0; i < INX; ++i)
-            for (int j = 0; j < INX; ++j)
-                for (int kk = 0; kk < INX; ++kk) {
-                    const int idx = 4 * ((i * INX + j) * INX + kk);
-                    double E = g.interior(f_erad, i, j, kk) + du[idx + 0];
-                    dvec3 F{g.interior(f_frx, i, j, kk) + du[idx + 1],
-                            g.interior(f_fry, i, j, kk) + du[idx + 2],
-                            g.interior(f_frz, i, j, kk) + du[idx + 3]};
-                    E = std::max(E, 0.0);
-                    F = limit_flux(E, F, opt.c_hat);
-                    g.interior(f_erad, i, j, kk) = E;
-                    g.interior(f_frx, i, j, kk) = F.x;
-                    g.interior(f_fry, i, j, kk) = F.y;
-                    g.interior(f_frz, i, j, kk) = F.z;
-                }
-    }
+    const std::vector<node_key> leaves = t.leaves_sfc();
+    rt::for_chunks(pool, leaves.size(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t n = lo; n < hi; ++n) {
+            transport_leaf(*t.node(leaves[n]).fields, dt, opt);
+        }
+    });
 }
 
 /// Implicit local emission/absorption coupling over dt (cell-local Newton,
 /// conserving u_gas + E to rounding).
 void couple_matter(tree& t, double dt, const rad_options& opt,
                    rt::thread_pool& pool) {
-    std::vector<node_key> leaves = t.leaves_sfc();
-    std::vector<rt::future<void>> fs;
-    fs.reserve(leaves.size());
-    for (const node_key k : leaves) {
-        fs.push_back(rt::async(pool, [&t, &opt, k, dt] {
-            subgrid& g = *t.node(k).fields;
+    const std::vector<node_key> leaves = t.leaves_sfc();
+    rt::for_chunks(pool, leaves.size(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t n = lo; n < hi; ++n) {
+            subgrid& g = *t.node(leaves[n]).fields;
             for (int i = 0; i < INX; ++i)
                 for (int j = 0; j < INX; ++j)
                     for (int kk = 0; kk < INX; ++kk) {
@@ -179,9 +166,8 @@ void couple_matter(tree& t, double dt, const rad_options& opt,
                         g.interior(f_fry, i, j, kk) *= damp;
                         g.interior(f_frz, i, j, kk) *= damp;
                     }
-        }));
-    }
-    for (auto& f : fs) f.get();
+        }
+    });
 }
 
 } // namespace

@@ -1,9 +1,11 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 
+#include "runtime/future.hpp"
 #include "sanitize/hooks.hpp"
 #include "support/assert.hpp"
 
@@ -177,6 +179,20 @@ void thread_pool::wait_idle() {
     while (inflight_.load(std::memory_order_acquire) != 0) {
         idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
     }
+}
+
+std::size_t for_chunks(thread_pool& pool, std::size_t count,
+                       const std::function<void(std::size_t, std::size_t)>& body) {
+    const std::size_t chunks = std::min<std::size_t>(count, std::size_t{4} * pool.size());
+    std::vector<future<void>> fs;
+    fs.reserve(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t lo = count * c / chunks;
+        const std::size_t hi = count * (c + 1) / chunks;
+        fs.push_back(async(pool, [&body, lo, hi] { body(lo, hi); }));
+    }
+    for (auto& f : fs) f.get(); // helps run the tasks while it waits
+    return chunks;
 }
 
 } // namespace octo::rt

@@ -104,4 +104,11 @@ class thread_pool {
     std::atomic<std::uint64_t> rejected_{0};
 };
 
+/// Run body(lo, hi) over [0, count) split into at most 4 contiguous chunks
+/// per worker, as tasks on `pool`, and wait (helping) for all of them;
+/// returns the number of chunks. The bodies must write disjoint data; the
+/// result then does not depend on the pool.
+std::size_t for_chunks(thread_pool& pool, std::size_t count,
+                       const std::function<void(std::size_t, std::size_t)>& body);
+
 } // namespace octo::rt

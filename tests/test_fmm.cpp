@@ -875,7 +875,7 @@ TEST(LegacyIlist, MatchesStencilKernel) {
     node_gravity out;
     kernel_options opt;
     opt.stencil = &interaction_stencil(); // regular 1074 stencil
-    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(mom, buf, opt, out);
+    octo::kernel::run_fmm_monopole(false, mom, buf, opt, out);
 
     auto receivers = to_aos_receivers(mom);
     const auto partners = to_aos_partners(buf);

@@ -24,7 +24,6 @@
 #include "fmm/stencil.hpp"
 #include "gpu/device.hpp"
 #include "hydro/pencil.hpp"
-#include "kernel/exec.hpp"
 #include "kernel/fmm.hpp"
 #include "kernel/hydro.hpp"
 #include "physics/eos.hpp"
@@ -300,8 +299,8 @@ ppm_faces reconstruct_plane(const Profile& profile) {
     r.iface.resize(static_cast<std::size_t>(C + 1) * L);
     r.lo.resize(static_cast<std::size_t>(C) * L);
     r.hi.resize(static_cast<std::size_t>(C) * L);
-    kernel::hydro_reconstruct<kernel::exec::scalar>(
-        r.q.data(), /*use_ppm=*/true, r.iface.data(), r.lo.data(), r.hi.data());
+    kernel::run_reconstruct(/*vectorized=*/false, r.q.data(), /*use_ppm=*/true,
+                            r.iface.data(), r.lo.data(), r.hi.data());
     return r;
 }
 

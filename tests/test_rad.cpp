@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "amr/tree.hpp"
 #include "hydro/update.hpp"
@@ -205,6 +207,55 @@ TEST(RadTransport, EnergyStaysNonNegative) {
                     ASSERT_LE(norm(F),
                               opt.c_hat * g.interior(f_erad, i, j, kk) + 1e-12);
                 }
+    }
+}
+
+TEST(RadTransport, SubstepIsPoolIndependent) {
+    // Leaves update in chunks on the pool, each reading only its own
+    // interior and ghosts, so a tree with coarse-fine faces advances bitwise
+    // the same on 1 and on 4 workers.
+    const auto run = [](unsigned workers) {
+        auto t = make_grid(1);
+        t.refine(t.leaves_sfc().front());
+        for (const auto k : t.leaves_sfc()) t.ensure_fields(k);
+        zero_hydro(t);
+        for (const auto k : t.leaves_sfc()) {
+            auto& g = *t.node(k).fields;
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        const dvec3 r = g.geom.cell_center(i, j, kk);
+                        const dvec3 d = r - dvec3{-0.4, -0.3, -0.2};
+                        const double E = std::exp(-norm2(d) / 0.05);
+                        g.interior(f_erad, i, j, kk) = E;
+                        g.interior(f_frx, i, j, kk) = 0.5 * E;
+                        g.interior(f_fry, i, j, kk) = -0.3 * E;
+                        g.interior(f_frz, i, j, kk) = 0.1 * E * r.x;
+                    }
+        }
+        rt::thread_pool pool(workers);
+        rad_options opt;
+        opt.bc = boundary_kind::outflow;
+        opt.kappa = 0.5;
+        opt.pool = &pool;
+        EXPECT_GT(step(t, 0.05, opt), 1);
+        return t;
+    };
+    const tree a = run(1);
+    const tree b = run(4);
+    const auto leaves = a.leaves_sfc();
+    ASSERT_EQ(leaves, b.leaves_sfc());
+    for (const auto k : leaves) {
+        const auto& ga = *a.node(k).fields;
+        const auto& gb = *b.node(k).fields;
+        for (const int f : {f_erad, f_frx, f_fry, f_frz})
+            for (int i = 0; i < INX; ++i)
+                for (int j = 0; j < INX; ++j)
+                    for (int kk = 0; kk < INX; ++kk) {
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(ga.interior(f, i, j, kk)),
+                                  std::bit_cast<std::uint64_t>(gb.interior(f, i, j, kk)))
+                            << "leaf " << k << " field " << f;
+                    }
     }
 }
 

@@ -71,6 +71,31 @@ TEST(ThreadPool, WorkStealingBalances) {
     EXPECT_EQ(done.load(), 1000);
 }
 
+TEST(ForChunks, VisitsEveryIndexOnce) {
+    for (const unsigned workers : {1u, 4u}) {
+        thread_pool pool(workers);
+        const std::size_t max_bodies = std::size_t{4} * workers;
+        for (const std::size_t count :
+             {std::size_t{0}, std::size_t{1}, std::size_t{3}, max_bodies + 1,
+              std::size_t{1000}}) {
+            std::vector<std::atomic<int>> visits(count);
+            std::atomic<std::size_t> bodies{0};
+            const std::size_t chunks =
+                for_chunks(pool, count, [&](std::size_t lo, std::size_t hi) {
+                    bodies.fetch_add(1);
+                    for (std::size_t n = lo; n < hi; ++n) visits[n].fetch_add(1);
+                });
+            EXPECT_EQ(chunks, bodies.load());
+            EXPECT_LE(bodies.load(), max_bodies);
+            for (std::size_t n = 0; n < count; ++n) {
+                ASSERT_EQ(visits[n].load(), 1)
+                    << "index " << n << " of " << count << ", " << workers
+                    << " workers";
+            }
+        }
+    }
+}
+
 TEST(Future, AsyncReturnsValue) {
     thread_pool pool(2);
     auto f = async(pool, [] { return 42; });

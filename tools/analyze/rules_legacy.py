@@ -125,7 +125,7 @@ def check_backend_variant(tu, findings):
                 (tu.rel, idx, "backend-variant",
                  "backend-specific kernel variant outside src/kernel; the "
                  "portable layer has ONE body per kernel — dispatch through "
-                 "kernel::run_* / the exec policy wrappers")
+                 "kernel::run_*")
             )
 
 
