@@ -1,7 +1,8 @@
 // Step-to-step latency of the hydro solver on a deep AMR tree: SoA pencils
 // on simd::pack lanes (paper §4.3's stencil/SoA rewrite) driven by the
-// per-leaf pipeline (ghost fills / flux sweeps / refluxes / updates as
-// dependency-gated tasks, CFL folded in), at the build's pack width. It
+// per-leaf pipeline (restrictions / flux sweeps that gather their face
+// ghosts from the donors / refluxes / updates as dependency-gated tasks, CFL
+// folded in), at the build's pack width. It
 // reuses recycled scratch, so steady-state steps report `misses 0`.
 //
 // The tree is the level-14 analogue used for profiling: blob density refined
@@ -109,14 +110,12 @@ int main(int argc, char** argv) {
 
     const auto& apex = rt::apex_registry::instance();
     std::printf("\napex counters: hydro.stage_tasks=%llu  hydro.cfl_tasks=%llu"
-                "  hydro.simd_width=%llu  hydro.ghost_overlap_fraction=%llu%%\n",
+                "  hydro.simd_width=%llu\n",
                 static_cast<unsigned long long>(
                     apex.counter("hydro.stage_tasks")),
                 static_cast<unsigned long long>(apex.counter("hydro.cfl_tasks")),
                 static_cast<unsigned long long>(
-                    apex.counter("hydro.simd_width")),
-                static_cast<unsigned long long>(
-                    apex.counter("hydro.ghost_overlap_fraction")));
+                    apex.counter("hydro.simd_width")));
 
     std::printf("\n%-42s %12s %12s\n", "configuration", "first[ms]",
                 "steady[ms]");

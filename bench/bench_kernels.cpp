@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "amr/halo.hpp"
+#include "amr/tree.hpp"
 #include "cluster/event_sim.hpp"
 #include "cluster/scenario_tree.hpp"
 #include "fmm/kernels.hpp"
@@ -205,11 +207,16 @@ int main() {
     hydro::leaf_flux_soa lf;
     lf.allocate();
     double ms = 0.0;
+    // The leaf as the one node of an outflow-walled tree: the sweep gathers
+    // its face ghosts through the leaf's halo plan, as in the hydro step.
+    amr::tree leaf_tree(bench_leaf().geom);
+    leaf_tree.ensure_fields(amr::root_key) = bench_leaf();
+    const amr::node_ghost_plan leaf =
+        amr::acquire_ghost_plan(leaf_tree, amr::boundary_kind::outflow).nodes.front();
     const double sweep_flops = 3.0 * amr::INX3 * 400.0; // modeled, per 3-axis pass
     host_rows("hydro.leaf_fluxes", sweep_flops, rows, [&](bool vectorized) {
         for (int axis = 0; axis < 3; ++axis) {
-            kernel::run_leaf_fluxes(vectorized, bench_leaf(), axis, eos, true, ws, lf,
-                                    &ms);
+            kernel::run_leaf_fluxes(vectorized, leaf, axis, eos, true, ws, lf, &ms);
         }
     });
 

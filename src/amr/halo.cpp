@@ -1,6 +1,7 @@
 #include "amr/halo.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -113,9 +114,9 @@ ghost_source resolve_ghost(const tree& t, node_key k, int i, int j, int kk,
 }
 
 /// Copy one ghost cell from its resolved source into `g` at flat index
-/// `dst`, applying the reflecting momentum flips and the coarse-source spin
-/// correction. (Negation is exactly multiplication by -1.0, so this matches
-/// the historical momentum_sign path bit for bit.)
+/// `dst`, applying the reflecting momentum flips. (Negation is exactly
+/// multiplication by -1.0, so this matches the historical momentum_sign path
+/// bit for bit.)
 void apply_ghost(subgrid& g, std::int32_t dst, const subgrid& sg,
                  std::int32_t src, std::uint8_t flip) {
     for (int f = 0; f < n_fields; ++f) {
@@ -128,13 +129,49 @@ void apply_ghost(subgrid& g, std::int32_t dst, const subgrid& sg,
     }
 }
 
-void apply_spin_correction(subgrid& g, std::int32_t dst, const dvec3& dr) {
-    const dvec3 s{g.field_data(f_sx)[dst], g.field_data(f_sy)[dst],
-                  g.field_data(f_sz)[dst]};
+/// Coarse-source spin correction of one copied ghost cell whose field f is
+/// at cell[f * fstride]. The one definition behind the shell and the pencil
+/// replays (and the per-cell reference): kept out of line so that
+/// -ffp-contract=fast fuses its products the same way for every caller.
+[[gnu::noinline]] void correct_spin(double* cell, std::ptrdiff_t fstride,
+                                    const dvec3& dr) {
+    const dvec3 s{cell[f_sx * fstride], cell[f_sy * fstride], cell[f_sz * fstride]};
     const dvec3 corr = cross(dr, s);
-    g.field_data(f_lx)[dst] -= corr.x;
-    g.field_data(f_ly)[dst] -= corr.y;
-    g.field_data(f_lz)[dst] -= corr.z;
+    cell[f_lx * fstride] -= corr.x;
+    cell[f_ly * fstride] -= corr.y;
+    cell[f_lz * fstride] -= corr.z;
+}
+
+/// Replay region `r` into `out`: ghost cell `dst` of the shell lands at
+/// out + slot(dst), the consecutive cells of a run `step` apart, and field f
+/// of a cell `fstride` past field 0, for fields 0..nf-1. Run by run, with the
+/// fields innermost: the copy loop has a fixed trip count and no sign test,
+/// and the reflecting flips are applied once per (run, flipped field)
+/// afterwards. Field-major order (all runs of one field, then the next) pays
+/// a mispredicted short-loop exit per (run, field); it replayed 25-35%
+/// slower on a 4-vCPU AVX-512 Xeon (EXPERIMENTS.md).
+template <class Slot>
+void replay_region(const ghost_region_plan& r, double* out, const Slot& slot,
+                   int step, std::ptrdiff_t fstride, int nf) {
+    for (const ghost_run& run : r.runs) {
+        const double* in = run.sg->field_data(0) + run.src;
+        double* d = out + slot(run.dst);
+        for (int n = 0; n < run.len; ++n) {
+            for (int f = 0; f < nf; ++f) d[n * step + f * fstride] = in[n * run.stride + f * NX3];
+        }
+        for (int a = 0; a < 3; ++a) {
+            if ((run.flip & (1u << a)) == 0) continue;
+            double* m = d + (f_sx + a) * fstride;
+            for (int n = 0; n < run.len; ++n) m[n * step] = -m[n * step];
+        }
+    }
+    for (const auto& c : r.corrections) correct_spin(out + slot(c.dst), fstride, c.dr);
+}
+
+/// Every field of region `r` into `g`'s own ghost shell.
+void apply_ghost_region(subgrid& g, const ghost_region_plan& r) {
+    replay_region(r, g.field_data(0), [](std::int32_t dst) { return dst; }, 1, NX3,
+                  n_fields);
 }
 
 /// Ghost-shell region of cell (i, j, kk) in full (ghost-inclusive) coords:
@@ -280,29 +317,25 @@ const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc,
     return plan;
 }
 
-void apply_ghost_region(subgrid& g, const ghost_region_plan& r, int n_copy) {
-    OCTO_ASSERT(n_copy > f_lz && n_copy <= n_fields); // spin correction inputs
-    // Run by run, with the fields innermost: the copy loop has a fixed trip
-    // count and no sign test, and the reflecting flips are applied once per
-    // (run, flipped field) afterwards. Field-major order (all runs of one
-    // field, then the next) pays a mispredicted short-loop exit per (run,
-    // field); it replayed 25-35% slower on a 4-vCPU AVX-512 Xeon
-    // (EXPERIMENTS.md).
-    double* const out = g.field_data(0);
-    for (const ghost_run& run : r.runs) {
-        const double* in = run.sg->field_data(0) + run.src;
-        double* d = out + run.dst;
-        for (int n = 0; n < run.len; ++n) {
-            for (int f = 0; f < n_copy; ++f) d[n + f * NX3] = in[n * run.stride + f * NX3];
+void gather_face_ghosts(const node_ghost_plan& np, int axis, double* u) {
+    constexpr int L = INX * INX;
+    // Shell cell (i, j, k) of a face region of `axis` is pencil position
+    // p = the coordinate along `axis` in lane (b, c) = the other two, minus
+    // the ghost width; a run's consecutive k cells are consecutive lanes,
+    // except along z, where they are consecutive pencil positions.
+    const auto slot = [axis](std::int32_t dst) {
+        const int i = dst / (NX * NX);
+        const int j = dst / NX % NX;
+        const int k = dst % NX;
+        switch (axis) {
+            case 0: return i * L + (j - H_BW) * INX + (k - H_BW);
+            case 1: return j * L + (i - H_BW) * INX + (k - H_BW);
+            default: return k * L + (i - H_BW) * INX + (j - H_BW);
         }
-        for (int a = 0; a < 3; ++a) {
-            if ((run.flip & (1u << a)) == 0) continue;
-            double* m = d + (f_sx + a) * NX3;
-            for (int n = 0; n < run.len; ++n) m[n] = -m[n];
-        }
-    }
-    for (const auto& c : r.corrections) {
-        apply_spin_correction(g, c.dst, c.dr);
+    };
+    for (const int dir : {-1, +1}) {
+        replay_region(np.regions[ghost_face_region(axis, dir)], u, slot,
+                      axis == 2 ? L : 1, NX * L, n_hydro_fields);
     }
 }
 
@@ -351,7 +384,7 @@ void fill_ghosts(tree& t, node_key k, boundary_kind bc) {
                 const auto dst =
                     static_cast<std::int32_t>(subgrid::index(i, j, kk));
                 apply_ghost(g, dst, *s.sg, s.src, s.flip);
-                if (s.coarse) apply_spin_correction(g, dst, s.dr);
+                if (s.coarse) correct_spin(g.field_data(0) + dst, NX3, s.dr);
             }
         }
     }
@@ -369,7 +402,7 @@ void fill_all_ghosts(tree& t, boundary_kind bc, rt::thread_pool* pool) {
     rt::for_chunks(p, plan.nodes.size(), [&plan](std::size_t lo, std::size_t hi) {
         for (std::size_t n = lo; n < hi; ++n) {
             const node_ghost_plan& np = plan.nodes[n];
-            for (const auto& r : np.regions) apply_ghost_region(*np.g, r, n_fields);
+            for (const auto& r : np.regions) apply_ghost_region(*np.g, r);
         }
     });
 }

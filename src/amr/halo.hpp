@@ -36,13 +36,14 @@ enum class boundary_kind {
 // bucket for all edges and corners — and each region records the set of
 // donor nodes it reads. That is exactly the granularity the futurized hydro
 // stage needs: a flux sweep along axis `a` only consumes the two face
-// regions 2a and 2a+1, so a face-fill task can fire as soon as its (few)
-// donors are ready instead of waiting on a whole-tree barrier.
+// regions 2a and 2a+1, so it replays their runs straight into its pencil
+// bundle (gather_face_ghosts) as soon as those regions' (few) donors are
+// ready, instead of waiting on a whole-tree barrier.
 //
 // Ghost contract: fill_all_ghosts makes every ghost of every field current.
-// hydro::step fills only the face regions of the hydro fields (the only
-// ghosts its flux sweeps read); after a step the edge/corner ghosts and the
-// radiation-field ghosts are stale. Call fill_all_ghosts before reading them.
+// hydro::step reads and writes no ghost cell: its sweeps gather face ghosts
+// from the donors' interiors, and the shell holds whatever it held before the
+// step. Call fill_all_ghosts before reading any ghost.
 
 /// A run of ghost cells: `len` consecutive destination cells starting at
 /// flat index `dst`, read from sub-grid `sg` starting at flat index `src`
@@ -104,12 +105,16 @@ struct ghost_plan {
 const ghost_plan& acquire_ghost_plan(tree& t, boundary_kind bc,
                                      rt::thread_pool* pool = nullptr);
 
-/// Replay one region of one node's plan over fields 0..n_copy-1 (n_fields
-/// for the whole state, n_hydro_fields for what the flux sweeps read; the
-/// spin correction needs at least the momentum and spin fields). Thread-safe
-/// per destination node as long as no task writes the donors' interiors
-/// concurrently.
-void apply_ghost_region(subgrid& g, const ghost_region_plan& r, int n_copy);
+/// The face ghosts of `np`'s axis-`axis` pencil bundle, replayed from regions
+/// 2a and 2a+1 of its plan straight out of the donors' interiors. The bundle
+/// is the flux sweeps' gather layout: the first n_hydro_fields fields,
+/// u[(q * NX + p) * INX * INX + b * INX + c] with p the ghost-inclusive cell
+/// index along `axis` and (b, c) the transverse interior cell in axis order
+/// ((j, k) for x, (i, k) for y, (i, j) for z). Writes exactly the slots with
+/// p < H_BW or p >= H_BW + INX, bit for bit the values fill_all_ghosts writes
+/// into the shell (the same runs, flips and spin correction). Thread-safe as
+/// long as no task writes the donors' interiors concurrently.
+void gather_face_ghosts(const node_ghost_plan& np, int axis, double* u);
 
 /// Restrict the eight children of refined node `k` into its own field data.
 /// The parent storage must already exist (see acquire_ghost_plan, which
@@ -128,8 +133,8 @@ void fill_ghosts(tree& t, node_key k, boundary_kind bc);
 
 /// restrict_tree + every ghost region of every field on every node with
 /// field data, replayed from the cached plan, so in steady state the per-cell
-/// neighbor resolution is skipped entirely. The only way to make the
-/// edge/corner and radiation-field ghosts current after hydro::step.
+/// neighbor resolution is skipped entirely. The only writer of the ghost
+/// shell: hydro::step leaves it as it was.
 /// Restriction and the replay (node by node) run as tasks on `pool` (the
 /// global pool when null); the result is the same for any pool.
 /// Not callable concurrently with anything else touching the tree.

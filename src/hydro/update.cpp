@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -39,16 +38,17 @@ void axis_cell(int axis, int p, int b, int c, int& i, int& j, int& k) {
 }
 
 /// One leaf's flux sweep along `axis` through the portable kernel layer
-/// (gather + primitives + reconstruction + KT flux, at the width
-/// opt.vectorized selects). The workspace is the calling thread's own — a
-/// pool worker's, or the offload executor's — sized by its first sweep and
-/// reused, never cleared, by every later one.
-void compute_axis_fluxes(const subgrid& g, int axis, const step_options& opt,
-                         leaf_flux_soa& out) {
+/// (gather of the interior and the plan's face ghosts + primitives +
+/// reconstruction + KT flux, at the width opt.vectorized selects). The
+/// workspace is the calling thread's own — a pool worker's, or the offload
+/// executor's — sized by its first sweep and reused, never cleared, by every
+/// later one.
+void compute_axis_fluxes(const node_ghost_plan& leaf, int axis,
+                         const step_options& opt, leaf_flux_soa& out) {
     double ms = 0.0; // diagnostic only; dt comes from the CFL reduction
     thread_local pencil_workspace ws;
-    kernel::run_leaf_fluxes(opt.vectorized, g, axis, opt.eos, opt.use_ppm, ws, out,
-                            &ms);
+    kernel::run_leaf_fluxes(opt.vectorized, leaf, axis, opt.eos, opt.use_ppm, ws,
+                            out, &ms);
 }
 
 // ---- reflux ----------------------------------------------------------------
@@ -317,14 +317,16 @@ namespace {
 // ---- per-leaf pipeline -----------------------------------------------------
 //
 // The step as one future graph, in the style of the FMM DAG (solver.cpp):
-// every ghost region fill, restriction, flux sweep, reflux and leaf update
-// is its own task gated by when_all() on exactly the data it reads — plus
-// the anti-dependencies on tasks still *reading* data it overwrites. There
-// is no global ghost-fill barrier: halo exchange overlaps compute across the
-// whole step. The second stage's fills start as soon as their donor leaves
-// completed stage one, while unrelated stage-one updates are still in
-// flight, and the gravity re-solve of the coupled driver (before_stage) runs
-// concurrently with the fills and flux sweeps of the stage that consumes it.
+// every restriction, flux sweep, reflux and leaf update is its own task
+// gated by when_all() on exactly the data it reads — plus the
+// anti-dependencies on tasks still *reading* data it overwrites. There is no
+// ghost-fill task and no global barrier: each flux sweep gathers its face
+// ghosts straight from its donors' interiors, so halo exchange is part of
+// the compute it feeds. The second stage's sweeps start as soon as their
+// donor leaves completed stage one, while unrelated stage-one updates are
+// still in flight, and the gravity re-solve of the coupled driver
+// (before_stage) runs concurrently with the flux sweeps of the stage that
+// consumes it. No task touches a ghost cell.
 //
 // Every task writes its own region, and each region's writers are ordered
 // by the graph, so the dt and the fields are bit-identical for any pool size
@@ -332,7 +334,7 @@ namespace {
 
 struct leaf_ctx {
     subgrid* g = nullptr;
-    const node_ghost_plan* plan = nullptr;
+    const node_ghost_plan* plan = nullptr; ///< plan->g == g
     leaf_flux_soa fluxes;
     scratch_vector<double> u0;
     std::vector<const reflux_entry*> refluxes;
@@ -344,9 +346,6 @@ struct leaf_ctx {
 // small offsets used), so distinct regions never collide and survive for the
 // whole step. The names show up in detector reports.
 const void* interior_region(const subgrid* g) { return g; }
-const void* ghost_region_key(const subgrid* g, int r) {
-    return reinterpret_cast<const char*>(g) + 1 + r;
-}
 const void* flux_region(const leaf_flux_soa* f, int axis) {
     return reinterpret_cast<const char*>(f) + 1 + axis;
 }
@@ -400,13 +399,6 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
     std::vector<rt::future<void>> join;
     std::size_t task_count = 0;
 
-    // Overlap instrumentation: fraction of ghost-fill tasks that completed
-    // after the first flux sweep started, i.e. halo exchange that was hidden
-    // behind compute instead of serialized before it.
-    auto flux_started = std::make_shared<std::atomic<bool>>(false);
-    auto fills_total = std::make_shared<std::atomic<std::uint64_t>>(0);
-    auto fills_overlapped = std::make_shared<std::atomic<std::uint64_t>>(0);
-
     // CFL reduction: one task per leaf, joined by when_all into the dt value
     // every update task depends on. The flux sweeps do not need dt, so the
     // whole reduction overlaps them.
@@ -451,7 +443,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
 
         // Gravity re-solve for this stage: stage one's runs immediately
         // (pre-step state), stage two's as a continuation of all stage-one
-        // updates. Fills, restricts and flux sweeps overlap it — the FMM
+        // updates. Restricts and flux sweeps overlap it — the FMM
         // only reads leaf interiors, which no task of this stage writes
         // before its update (and updates wait for gravity).
         rt::future<void> gravity_done;
@@ -492,7 +484,7 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                     deps.push_back(alias(ready.at(ck)));
                 }
             }
-            // Anti-dependency: last stage's fills may still read this
+            // Anti-dependency: last stage's flux sweeps may still read this
             // node's (previously restricted) interior.
             if (auto pr = readers_prev.find(k); pr != readers_prev.end()) {
                 for (auto& f : pr->second) deps.push_back(std::move(f));
@@ -527,70 +519,31 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
             }
         };
 
-        // 2. Ghost-fill tasks: one per face region of every leaf, gated only
-        // on that region's donors. The flux sweeps read nothing else of the
-        // ghost shell, so the edges/corners are not filled and only the
-        // hydro fields are copied.
-        std::unordered_map<node_key, std::array<rt::future<void>, n_ghost_faces>>
-            fill_f;
-        for (const node_key k : leaves) {
-            leaf_ctx& lc = ctx.at(k);
-            auto& fills = fill_f[k];
-            for (int r = 0; r < n_ghost_faces; ++r) {
-                const ghost_region_plan& region = lc.plan->regions[r];
-                if (region.runs.empty()) {
-                    fills[static_cast<std::size_t>(r)] = rt::make_ready_future();
-                    continue;
-                }
-                std::vector<rt::future<void>> deps;
-                for (const node_key d : region.donors) donor_ready(d, deps);
-                // Anti-dependency: this leaf's previous-stage flux sweeps
-                // read the ghost zones this fill overwrites; its update
-                // (which waits for them) must complete first.
-                if (second) deps.push_back(alias(ready.at(k)));
-                auto f = rt::when_all(std::move(deps))
-                             .then(pool, [g = lc.g, &region, &t, r, flux_started,
-                                          fills_total, fills_overlapped](auto) {
-                                 for (const node_key d : region.donors) {
-                                     sanitize::region_read(
-                                         interior_region(
-                                             t.node(d).fields.get()),
-                                         "hydro.interior");
-                                 }
-                                 sanitize::region_write(ghost_region_key(g, r),
-                                                        "hydro.ghosts");
-                                 apply_ghost_region(*g, region, n_hydro_fields);
-                                 fills_total->fetch_add(
-                                     1, std::memory_order_relaxed);
-                                 if (flux_started->load(
-                                         std::memory_order_relaxed)) {
-                                     fills_overlapped->fetch_add(
-                                         1, std::memory_order_relaxed);
-                                 }
-                             });
-                for (const node_key d : region.donors) {
-                    readers_cur[d].push_back(alias(f));
-                }
-                join.push_back(alias(f));
-                fills[static_cast<std::size_t>(r)] = std::move(f);
-                ++task_count;
-            }
-        }
-
-        // 3. Flux sweeps: one task per (leaf, axis), gated on the two face
-        // fills of that axis (pencils read face ghosts only) plus the leaf's
-        // own previous-stage update, plus any reflux of the previous stage
-        // that still reads this leaf's flux buffers.
+        // 2. Flux sweeps: one task per (leaf, axis), gated on the donors of
+        // the two face regions of that axis (the sweep gathers those ghosts
+        // from their interiors) plus the leaf's own previous-stage update,
+        // plus any reflux of the previous stage that still reads this leaf's
+        // flux buffers. The sweep registers as a reader of every other
+        // donor, so the donor's update and the next stage's restriction into
+        // it wait for the sweep.
         std::unordered_map<node_key, std::array<rt::future<void>, 3>> flux_f;
+        std::vector<node_key> donors;
         for (const node_key k : leaves) {
             leaf_ctx& lc = ctx.at(k);
             auto& fx = flux_f[k];
             for (int axis = 0; axis < 3; ++axis) {
-                const int rlo = static_cast<int>(ghost_face_region(axis, -1));
-                const int rhi = static_cast<int>(ghost_face_region(axis, +1));
+                donors.clear();
+                for (const int dir : {-1, +1}) {
+                    for (const node_key d :
+                         lc.plan->regions[ghost_face_region(axis, dir)].donors) {
+                        if (d != k && std::find(donors.begin(), donors.end(), d) ==
+                                          donors.end()) {
+                            donors.push_back(d);
+                        }
+                    }
+                }
                 std::vector<rt::future<void>> deps;
-                deps.push_back(alias(fill_f.at(k)[static_cast<std::size_t>(rlo)]));
-                deps.push_back(alias(fill_f.at(k)[static_cast<std::size_t>(rhi)]));
+                for (const node_key d : donors) donor_ready(d, deps);
                 if (second) deps.push_back(alias(ready.at(k)));
                 // Anti-dependency: previous-stage refluxes still reading
                 // this leaf's flux buffers.
@@ -604,30 +557,32 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                 // a fused launch) and a bridge promise completes the task's
                 // future when the item's slice finishes; otherwise — or when
                 // the executor rejects (saturated / injected fault) — the
-                // sweep runs inline as before.
+                // sweep runs inline as before. Both gather the same pencils.
                 rt::promise<void> done;
                 auto f = done.get_future();
                 rt::detach(rt::when_all(std::move(deps))
-                             .then(pool, [&opt, g = lc.g, lf = &lc.fluxes,
-                                          axis, rlo, rhi, flux_started,
-                                          done](auto) mutable {
-                                 flux_started->store(
-                                     true, std::memory_order_release);
-                                 sanitize::region_read(interior_region(g),
+                             .then(pool, [&opt, &t, leaf = lc.plan, lf = &lc.fluxes,
+                                          axis, done](auto) mutable {
+                                 sanitize::region_read(interior_region(leaf->g),
                                                        "hydro.interior");
-                                 sanitize::region_read(ghost_region_key(g, rlo),
-                                                       "hydro.ghosts");
-                                 sanitize::region_read(ghost_region_key(g, rhi),
-                                                       "hydro.ghosts");
+                                 for (const int dir : {-1, +1}) {
+                                     for (const node_key d :
+                                          leaf->regions[ghost_face_region(axis, dir)]
+                                              .donors) {
+                                         sanitize::region_read(
+                                             interior_region(t.node(d).fields.get()),
+                                             "hydro.interior");
+                                     }
+                                 }
                                  sanitize::region_write(flux_region(lf, axis),
                                                         "hydro.flux");
                                  if (opt.aggregator != nullptr) {
                                      gpu::work_item item;
                                      item.kc = kernel_class::hydro;
                                      item.flops = flux_sweep_flops;
-                                     item.kernel = [&opt, g, lf,
+                                     item.kernel = [&opt, leaf, lf,
                                                     axis](const double*) {
-                                         compute_axis_fluxes(*g, axis, opt, *lf);
+                                         compute_axis_fluxes(*leaf, axis, opt, *lf);
                                      };
                                      if (auto af = opt.aggregator->submit(
                                              std::move(item))) {
@@ -638,16 +593,17 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
                                          return;
                                      }
                                  }
-                                 compute_axis_fluxes(*g, axis, opt, *lf);
+                                 compute_axis_fluxes(*leaf, axis, opt, *lf);
                                  done.set_value();
                              }));
+                for (const node_key d : donors) readers_cur[d].push_back(alias(f));
                 join.push_back(alias(f));
                 fx[static_cast<std::size_t>(axis)] = std::move(f);
                 ++task_count;
             }
         }
 
-        // 4. Reflux tasks: restrict fine boundary fluxes onto the coarse
+        // 3. Reflux tasks: restrict fine boundary fluxes onto the coarse
         // neighbor as soon as the five flux sweeps involved are done.
         std::unordered_map<node_key, std::vector<rt::future<void>>> refl_f;
         for (auto& e : rentries) {
@@ -695,9 +651,10 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
             ++task_count;
         }
 
-        // 5. Update tasks: everything the leaf's update reads or overwrites —
+        // 4. Update tasks: everything the leaf's update reads or overwrites —
         // its flux sweeps, refluxes into it, every task still reading its
-        // interior (fills/restricts of this stage), dt, and gravity.
+        // interior (other leaves' sweeps and restricts of this stage), dt,
+        // and gravity.
         std::unordered_map<node_key, rt::future<void>> ready_next;
         for (const node_key k : leaves) {
             leaf_ctx& lc = ctx.at(k);
@@ -752,12 +709,6 @@ double step_pipeline(tree& t, const step_options& opt, rt::thread_pool& pool) {
     for (auto& f : join) f.get();
 
     rt::apex_count("hydro.stage_tasks", task_count);
-    const std::uint64_t total = fills_total->load(std::memory_order_relaxed);
-    if (total > 0) {
-        rt::apex_gauge(
-            "hydro.ghost_overlap_fraction",
-            100 * fills_overlapped->load(std::memory_order_relaxed) / total);
-    }
     return *dt_val;
 }
 

@@ -73,16 +73,15 @@ struct step_options {
 };
 
 /// Advance the whole tree by one SSP-RK2 step; returns the dt taken.
-/// Leaves must hold field data; the ghosts the flux sweeps read are filled
-/// internally. The step runs as a per-leaf future pipeline (ghost fills,
-/// flux sweeps, refluxes and updates chained as continuations, RK stages
-/// overlapped); the dt and the fields are bit-identical for any pool size and
-/// task interleaving.
-/// Ghost contract: after step() only the face ghosts of the hydro fields
-/// (amr::n_hydro_fields) are current; the edge/corner ghosts and the
-/// radiation-field ghosts are stale, so call amr::fill_all_ghosts before
-/// reading any other ghost. The radiation fields' interiors are left bitwise
-/// as they were.
+/// Leaves must hold field data. The step runs as a per-leaf future pipeline
+/// (flux sweeps, refluxes and updates chained as continuations, RK stages
+/// overlapped); each flux sweep gathers its face ghosts straight from its
+/// donors' interiors through the halo plan. The dt and the fields are
+/// bit-identical for any pool size and task interleaving.
+/// Ghost contract: step() reads and writes no ghost cell; every ghost holds
+/// after the step what it held before, so call amr::fill_all_ghosts before
+/// reading any ghost. The radiation fields' interiors are left bitwise as
+/// they were.
 /// Discarding the dt loses the only record of how far time advanced.
 [[nodiscard]] double step(amr::tree& t, const step_options& opt);
 

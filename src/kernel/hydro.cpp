@@ -431,23 +431,27 @@ void dual_energy_body(amr::subgrid& g, const ideal_gas_eos& eos) {
         }
 }
 
-/// Transpose the sub-grid into the axis-ordered pencil bundle:
+/// Transpose the leaf into the axis-ordered pencil bundle:
 /// u[(q*P + p)*L + (b*INX + c)] with p the (ghost-inclusive) cell index
-/// along `axis` and (b, c) the transverse interior cell in axis order.
-/// Pure data movement, the same at every width.
-void hydro_gather(const amr::subgrid& g, int axis, double* u) {
+/// along `axis` and (b, c) the transverse interior cell in axis order. The
+/// interior positions come from the leaf's own sub-grid, the ghost positions
+/// straight from the donors through the leaf's plan. Pure data movement, the
+/// same at every width.
+void hydro_gather(const amr::node_ghost_plan& leaf, int axis, double* u) {
+    static_assert(P == NX && L == INX * INX, "amr::gather_face_ghosts layout");
+    const amr::subgrid& g = *leaf.g;
     for (int q = 0; q < n_hydro_fields; ++q) {
         const double* src = g.field_data(q);
         double* dst = u + static_cast<std::size_t>(q) * P * L;
         if (axis == 0) {
-            for (int p = 0; p < P; ++p)
+            for (int p = H_BW; p < H_BW + INX; ++p)
                 for (int b = 0; b < INX; ++b) {
                     const double* row = src + (p * NX + (b + H_BW)) * NX + H_BW;
                     std::memcpy(dst + p * L + b * INX, row,
                                 sizeof(double) * INX);
                 }
         } else if (axis == 1) {
-            for (int p = 0; p < P; ++p)
+            for (int p = H_BW; p < H_BW + INX; ++p)
                 for (int b = 0; b < INX; ++b) {
                     const double* row =
                         src + ((b + H_BW) * NX + p) * NX + H_BW;
@@ -460,15 +464,16 @@ void hydro_gather(const amr::subgrid& g, int axis, double* u) {
                     const double* col =
                         src + ((b + H_BW) * NX + (c + H_BW)) * NX;
                     const int t = b * INX + c;
-                    for (int p = 0; p < P; ++p) dst[p * L + t] = col[p];
+                    for (int p = H_BW; p < H_BW + INX; ++p) dst[p * L + t] = col[p];
                 }
         }
     }
+    amr::gather_face_ghosts(leaf, axis, u);
 }
 
 } // namespace
 
-void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
+void run_leaf_fluxes(bool vectorized, const amr::node_ghost_plan& leaf, int axis,
                      const ideal_gas_eos& eos, bool use_ppm,
                      pencil_workspace& ws, leaf_flux_soa& out,
                      double* max_speed) {
@@ -478,7 +483,7 @@ void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
     ws.flo.resize(static_cast<std::size_t>(NV) * C * L);
     ws.fhi.resize(static_cast<std::size_t>(NV) * C * L);
 
-    hydro_gather(g, axis, ws.u.data());
+    hydro_gather(leaf, axis, ws.u.data());
     dispatch(vectorized, [&](auto v) {
         using T = decltype(v);
         primitives_body<T>(ws.u.data(), eos, ws.qv.data());

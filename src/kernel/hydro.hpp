@@ -8,6 +8,7 @@
 
 #include <span>
 
+#include "amr/halo.hpp"
 #include "amr/subgrid.hpp"
 #include "hydro/pencil.hpp"
 #include "kernel/exec.hpp"
@@ -16,9 +17,11 @@
 
 namespace octo::kernel {
 
-/// The full flux sweep of one leaf along `axis`: gather + primitives +
+/// The full flux sweep of leaf `leaf.g` along `axis`: gather + primitives +
 /// per-variable reconstruction + KT flux, at the width `vectorized` selects.
-void run_leaf_fluxes(bool vectorized, const amr::subgrid& g, int axis,
+/// The gather reads the leaf's interior and replays the two face regions of
+/// `axis` from its plan (amr::gather_face_ghosts); no ghost cell is read.
+void run_leaf_fluxes(bool vectorized, const amr::node_ghost_plan& leaf, int axis,
                      const phys::ideal_gas_eos& eos, bool use_ppm,
                      hydro::pencil_workspace& ws, hydro::leaf_flux_soa& out,
                      double* max_speed);

@@ -778,33 +778,40 @@ state sheared_flow_ic(const dvec3& r, const phys::ideal_gas_eos& eos) {
 constexpr boundary_kind all_boundaries[] = {
     boundary_kind::outflow, boundary_kind::reflecting, boundary_kind::periodic};
 
-TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
-    // The step fills only what its flux sweeps read: the six face regions
-    // of the hydro fields. Poisoning every other ghost of every leaf with NaN
-    // before each step (the edges and corners of all fields, and the whole
-    // shell of the radiation fields) must leave the dt and every leaf
-    // interior bit-identical to an unpoisoned run. The tree has coarse-fine
-    // faces, the flow has momentum everywhere, and all three boundary kinds
-    // run, so coarse donors, spin corrections and reflecting flips all feed
-    // the face ghosts.
+/// Bit pattern of the NaN the ghost tests poison shells with (a payload no
+/// arithmetic produces, so a copied poison is told from a computed NaN).
+constexpr std::uint64_t ghost_poison = 0x7ff8'dead'beef'0001ULL;
+
+/// Calls `f(g, f, i, j, k)` for every ghost cell of every field of every
+/// node with field data.
+template <class F>
+void for_each_ghost(tree& t, const F& f) {
+    for (const auto& level : t.levels()) {
+        for (const node_key k : level) {
+            auto& n = t.node(k);
+            if (n.fields == nullptr) continue;
+            for (int q = 0; q < n_fields; ++q)
+                for (int i = 0; i < NX; ++i)
+                    for (int j = 0; j < NX; ++j)
+                        for (int kk = 0; kk < NX; ++kk) {
+                            if (!subgrid::is_interior(i, j, kk)) f(*n.fields, q, i, j, kk);
+                        }
+        }
+    }
+}
+
+TEST(Step, ReadsAndWritesNoGhostCell) {
+    // The flux sweeps gather their face ghosts straight from the donors'
+    // interiors, so the step neither reads nor writes the ghost shell.
+    // Poisoning the whole shell of every field of every node before each of
+    // two steps must leave the dt and every leaf interior bit-identical to a
+    // clean run, and every ghost must still hold the poison afterwards. The
+    // tree has coarse-fine faces, the flow has momentum everywhere, and all
+    // three boundary kinds run, so coarse donors, spin corrections and
+    // reflecting flips all feed the gathered ghosts.
     phys::ideal_gas_eos eos(1.4);
     const auto ic = [&](const dvec3& r) { return sheared_flow_ic(r, eos); };
-    const auto poison = [](tree& t) {
-        const double nan = std::numeric_limits<double>::quiet_NaN();
-        const auto outside = [](int c) { return c < H_BW || c >= H_BW + INX; };
-        for (const auto k : t.leaves_sfc()) {
-            auto& g = *t.node(k).fields;
-            for (int i = 0; i < NX; ++i)
-                for (int j = 0; j < NX; ++j)
-                    for (int kk = 0; kk < NX; ++kk) {
-                        const int n = outside(i) + outside(j) + outside(kk);
-                        if (n == 0) continue;
-                        for (int f = n > 1 ? 0 : n_hydro_fields; f < n_fields; ++f) {
-                            g.at(f, i, j, kk) = nan;
-                        }
-                    }
-        }
-    };
+    const double nan = std::bit_cast<double>(ghost_poison);
     for (const auto bc : all_boundaries) {
         SCOPED_TRACE(static_cast<int>(bc));
         tree clean(unit_root()), poisoned(unit_root());
@@ -812,16 +819,82 @@ TEST(Step, SweepsReadOnlyFaceGhostsOfHydroFields) {
         refine_amr(poisoned);
         init_state(clean, ic);
         init_state(poisoned, ic);
+        // Refined nodes get storage (and so a shell to poison) up front.
+        restrict_tree(clean);
+        restrict_tree(poisoned);
         step_options opt;
         opt.eos = eos;
         opt.bc = bc;
         for (int s = 0; s < 2; ++s) {
-            poison(poisoned);
+            for_each_ghost(poisoned, [nan](subgrid& g, int q, int i, int j, int kk) {
+                g.at(q, i, j, kk) = nan;
+            });
             const double dt_poisoned = step(poisoned, opt);
             EXPECT_EQ(dt_poisoned, step(clean, opt));
+            std::size_t written = 0;
+            for_each_ghost(poisoned, [&](subgrid& g, int q, int i, int j, int kk) {
+                written += std::bit_cast<std::uint64_t>(g.at(q, i, j, kk)) != ghost_poison;
+            });
+            EXPECT_EQ(written, 0u) << "step " << s;
         }
         EXPECT_EQ(io::leaf_digests(poisoned), io::leaf_digests(clean));
         EXPECT_EQ(bit_differences(clean, poisoned), 0u);
+    }
+}
+
+TEST(Step, PencilGhostsMatchFillAllGhosts) {
+    // A sweep's pencil bundle gets its face ghosts from the halo plan
+    // (amr::gather_face_ghosts), not from the shell. For every leaf and
+    // axis, those slots must equal, bit for bit, the shell cells
+    // fill_all_ghosts writes from the same plan, and the gather must write
+    // nothing else. Coarse donors (spin corrections), refined donors
+    // (restriction), momentum everywhere (flips and corrections act on
+    // nonzero values) and all three boundary kinds.
+    constexpr int P = pencil_len, L = pencil_lanes;
+    phys::ideal_gas_eos eos(1.4);
+    const auto poison = std::bit_cast<double>(ghost_poison);
+    for (const auto bc : all_boundaries) {
+        SCOPED_TRACE(static_cast<int>(bc));
+        tree t(unit_root());
+        refine_amr(t);
+        init_state(t, [&](const dvec3& r) { return sheared_flow_ic(r, eos); });
+        fill_all_ghosts(t, bc);
+        std::size_t coarse = 0, refined = 0;
+        std::vector<double> u(static_cast<std::size_t>(n_hydro_fields) * P * L);
+        for (const auto& np : acquire_ghost_plan(t, bc).nodes) {
+            if (!np.leaf) continue;
+            for (int axis = 0; axis < 3; ++axis) {
+                for (const int dir : {-1, +1}) {
+                    const auto& r = np.regions[ghost_face_region(axis, dir)];
+                    coarse += r.corrections.size();
+                    for (const node_key d : r.donors) refined += t.node(d).refined;
+                }
+                std::fill(u.begin(), u.end(), poison);
+                gather_face_ghosts(np, axis, u.data());
+                std::size_t differ = 0, stray = 0;
+                for (int q = 0; q < n_hydro_fields; ++q)
+                    for (int p = 0; p < P; ++p)
+                        for (int b = 0; b < INX; ++b)
+                            for (int c = 0; c < INX; ++c) {
+                                const auto got = std::bit_cast<std::uint64_t>(
+                                    u[static_cast<std::size_t>((q * P + p) * L + b * INX + c)]);
+                                if (p >= H_BW && p < H_BW + INX) {
+                                    stray += got != ghost_poison;
+                                    continue;
+                                }
+                                const int cell[3][3] = {{p, b + H_BW, c + H_BW},
+                                                        {b + H_BW, p, c + H_BW},
+                                                        {b + H_BW, c + H_BW, p}};
+                                const auto& [i, j, kk] = cell[axis];
+                                differ += got != std::bit_cast<std::uint64_t>(
+                                                     np.g->at(q, i, j, kk));
+                            }
+                EXPECT_EQ(differ, 0u) << "leaf " << np.key << " axis " << axis;
+                EXPECT_EQ(stray, 0u) << "leaf " << np.key << " axis " << axis;
+            }
+        }
+        EXPECT_GT(coarse, 0u);
+        EXPECT_GT(refined, 0u);
     }
 }
 

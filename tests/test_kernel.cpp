@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "amr/halo.hpp"
+#include "amr/tree.hpp"
 #include "fmm/kernels.hpp"
 #include "fmm/node_data.hpp"
 #include "fmm/solver.hpp"
@@ -177,6 +179,19 @@ const amr::subgrid& test_leaf() {
     return leaf;
 }
 
+/// `g` as the one leaf of a tree with outflow walls, and that leaf's halo
+/// plan: a sweep gathers its face ghosts through the plan, so they are the
+/// clamped edge cells of the interior whatever `g`'s own shell holds.
+struct one_leaf {
+    amr::tree t;
+    amr::node_ghost_plan plan;
+
+    explicit one_leaf(const amr::subgrid& g) : t(g.geom) {
+        t.ensure_fields(amr::root_key) = g;
+        plan = amr::acquire_ghost_plan(t, amr::boundary_kind::outflow).nodes.front();
+    }
+};
+
 struct flux_run {
     leaf_flux_soa lf;
     double max_speed = 0.0;
@@ -187,8 +202,9 @@ flux_run run_fluxes(bool vectorized) {
     r.lf.allocate();
     pencil_workspace ws;
     const phys::ideal_gas_eos eos;
+    const one_leaf leaf(test_leaf());
     for (int axis = 0; axis < 3; ++axis) {
-        octo::kernel::run_leaf_fluxes(vectorized, test_leaf(), axis, eos, true, ws,
+        octo::kernel::run_leaf_fluxes(vectorized, leaf.plan, axis, eos, true, ws,
                                       r.lf, &r.max_speed);
     }
     return r;
@@ -386,8 +402,9 @@ state physical_flux(const state& u, int a, const phys::ideal_gas_eos& eos) {
 }
 
 /// First-order (use_ppm=false) KT fluxes along `axis` of a leaf whose cells
-/// (ghosts included) hold `left` below interior index `split` along the axis
-/// and `right` from it on, through the width-1 kernels.
+/// hold `left` below interior index `split` along the axis and `right` from
+/// it on, through the width-1 kernels. Outflow ghosts continue the two
+/// states for 0 <= split < INX.
 flux_run kt_sweep(const state& left, const state& right, int split, int axis,
                   const phys::ideal_gas_eos& eos) {
     using namespace octo::amr;
@@ -402,8 +419,9 @@ flux_run kt_sweep(const state& left, const state& right, int split, int axis,
     flux_run r;
     r.lf.allocate();
     pencil_workspace ws;
-    octo::kernel::run_leaf_fluxes(false, g, axis, eos, /*use_ppm=*/false, ws, r.lf,
-                                  &r.max_speed);
+    const one_leaf leaf(g);
+    octo::kernel::run_leaf_fluxes(false, leaf.plan, axis, eos, /*use_ppm=*/false, ws,
+                                  r.lf, &r.max_speed);
     return r;
 }
 

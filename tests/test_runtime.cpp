@@ -422,8 +422,8 @@ TEST(Apex, PeerDeathCountersSurfaceInTheRegistry) {
 
 TEST(Apex, HydroStepRegistersPipelineCounters) {
     // The hydro step pipeline must publish its task-graph counters: the
-    // number of pipeline tasks, the per-leaf CFL reduction tasks, the SIMD
-    // lane width gauge, and the ghost-fill/compute overlap gauge.
+    // number of pipeline tasks, the per-leaf CFL reduction tasks and the
+    // SIMD lane width gauge.
     auto& reg = apex_registry::instance();
     reg.reset();
 
@@ -432,6 +432,7 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
     root.dx = 1.0 / amr::INX;
     amr::tree t(root);
     for (const auto k : t.leaves_sfc()) t.refine(k);
+    t.refine(t.leaves_sfc().front()); // coarse-fine faces: refluxes
     phys::ideal_gas_eos eos(1.4);
     for (const auto k : t.leaves_sfc()) {
         auto& g = t.ensure_fields(k);
@@ -449,14 +450,32 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
     (void)hydro::step(t, opt);
 
     const auto leaves = t.leaves_sfc().size();
-    // Per stage: per-leaf fills, 3 flux sweeps and an update at minimum,
-    // plus the CFL tasks counted into the graph.
-    EXPECT_GE(reg.counter("hydro.stage_tasks"), 2 * 4 * leaves);
+    // The graph, exactly: per stage one restriction per refined node, three
+    // flux sweeps per leaf, one reflux per coarse face next to a refined
+    // node and one update per leaf (there is no ghost-fill task), plus the
+    // per-leaf CFL tasks.
+    std::uint64_t refined = 0, refluxes = 0;
+    for (const auto& level : t.levels()) {
+        for (const amr::node_key k : level) {
+            if (t.node(k).refined) {
+                ++refined;
+                continue;
+            }
+            for (int axis = 0; axis < 3; ++axis) {
+                for (int dir = -1; dir <= 1; dir += 2) {
+                    const amr::node_key nb = amr::key_neighbor(
+                        k, {axis == 0 ? dir : 0, axis == 1 ? dir : 0, axis == 2 ? dir : 0});
+                    refluxes += nb != amr::invalid_key && t.contains(nb) && t.node(nb).refined;
+                }
+            }
+        }
+    }
+    ASSERT_GT(refluxes, 0u);
+    EXPECT_EQ(reg.counter("hydro.stage_tasks"),
+              2 * (refined + 3 * leaves + refluxes + leaves) + leaves);
     EXPECT_EQ(reg.counter("hydro.cfl_tasks"), leaves);
     EXPECT_EQ(reg.counter("hydro.simd_width"),
               static_cast<std::uint64_t>(octo::simd::default_width));
-    // The overlap gauge is a percentage.
-    EXPECT_LE(reg.counter("hydro.ghost_overlap_fraction"), 100u);
 
     // The scalar-kernel ablation reports lane width 1 and still runs one
     // CFL task per leaf.
